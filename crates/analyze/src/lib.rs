@@ -1,11 +1,10 @@
 //! `bh_analyze` — the workspace determinism-and-safety lint pass.
 //!
 //! The BreakHammer reproduction pins its simulation outputs with golden
-//! digests: every kernel, front-end and stepping mode must produce
-//! byte-identical `SimulationResult`s. That guarantee is easy to break with
-//! ordinary Rust — iterate a `HashMap`, read the wall clock, forget a field
-//! in a stats-merge destructure — and none of those mistakes fail to
-//! compile. `bh_analyze` makes them fail CI instead.
+//! digests: every kernel and front-end must produce byte-identical
+//! `SimulationResult`s. That guarantee is easy to break with ordinary Rust —
+//! iterate a `HashMap`, read the wall clock, forget a field in a stats-merge
+//! destructure — and none of those mistakes fail to compile. `bh_analyze` makes them fail CI instead.
 //!
 //! The tool is deliberately dependency-free: a hand-rolled lexer
 //! ([`lexer`]) tokenizes every `.rs` file in the workspace (comments
@@ -27,7 +26,13 @@
 //! | `X1` | `bh-exhaustive`-marked structs are always destructured without `..` |
 //! | `A0` | (meta) a `bh-analyze:` allow comment is well-formed — cannot itself be allowed |
 //!
+//! Every library crate root carries `#![forbid(unsafe_code)]`, so `S1` now
+//! guards test code only (e.g. the counting allocator of
+//! `tests/allocation_free.rs`).
+//!
 //! Run it as `cargo run -p bh_analyze -- --deny` (CI does).
+
+#![forbid(unsafe_code)]
 
 pub mod lexer;
 pub mod rules;

@@ -30,7 +30,7 @@ use bh_dram::{
 };
 use bh_mem::{AddressMapping, MemControllerConfig, MemRequest, MemoryController, MemorySystem};
 use bh_mitigation::{ActionSink, ActivationEvent, MechanismKind, ScoreAttribution};
-use bh_sim::{ChannelStepping, System, SystemConfig};
+use bh_sim::{System, SystemConfig};
 use bh_workloads::{MixBuilder, MixClass, TraceGenerator};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -268,31 +268,6 @@ fn simulator_bench(results: &mut Vec<BenchResult>) {
                 std::hint::black_box(system.run());
             }
         }));
-
-        // Epoch-parallel stepping variants of the multi-channel workloads at
-        // 1 and 4 pool participants (`BH_EPOCH_WORKERS`). Worker count is a
-        // pure throughput knob — results stay bit-identical — so these rows
-        // track both the epoch-batching win (w1: no extra threads) and the
-        // barrier/pool overhead or win at width 4.
-        if channels == 1 {
-            continue;
-        }
-        let mut parallel_config = config.clone();
-        parallel_config.stepping = ChannelStepping::Parallel;
-        for workers in [1usize, 4] {
-            std::env::set_var("BH_EPOCH_WORKERS", workers.to_string());
-            let name = format!(
-                "simulator_throughput/four_core_attack_8k_instructions_{channels}ch_parallel_w{workers}"
-            );
-            results.push(measure(&name, |iters| {
-                for _ in 0..iters {
-                    let system =
-                        System::with_compiled(parallel_config.clone(), &mix.traces, vec![0, 1, 2]);
-                    std::hint::black_box(system.run());
-                }
-            }));
-        }
-        std::env::remove_var("BH_EPOCH_WORKERS");
     }
 }
 

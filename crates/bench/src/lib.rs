@@ -10,6 +10,7 @@
 //! Criterion micro-benchmarks for the simulator's hot paths live under
 //! `benches/` and run with `cargo bench -p bh-bench`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

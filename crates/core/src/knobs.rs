@@ -64,11 +64,6 @@ pub const KNOBS: &[Knob] = &[
         default: "none",
     },
     Knob {
-        name: "BH_EPOCH_WORKERS",
-        summary: "participant count of the epoch-parallel channel pool",
-        default: "one per channel",
-    },
-    Knob {
         name: "BH_FAULT_MODEL",
         summary: "bit-flip model: threshold | probabilistic",
         default: "threshold",

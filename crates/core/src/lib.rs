@@ -41,6 +41,7 @@
 //! assert!(bh.quota(ThreadId(0)) < bh.quota(ThreadId(1)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -12,7 +12,7 @@
 //! Bernoulli flip from a hash of `(seed, channel, bank, row, crossing)`.
 //! Because every draw is a pure function of those coordinates — no shared
 //! PRNG stream — the flip set is independent of the order in which
-//! channels (or epochs, under parallel stepping) advance.
+//! channels advance.
 //!
 //! On top of the raw flips sits a SEC-DED ECC model
 //! ([`EccMode::SecDed`], [`classify_flips`]): one flip per row is

@@ -37,6 +37,7 @@
 //! assert_eq!(responses.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -44,14 +45,12 @@ pub mod config;
 pub mod controller;
 pub mod latency;
 pub mod mapping;
-pub mod pool;
 pub mod request;
 pub mod system;
 
 pub use config::MemControllerConfig;
-pub use controller::{BhEvent, BhEventKind, BhSink, ControllerStats, MemoryController};
+pub use controller::{ControllerStats, MemoryController};
 pub use latency::LatencyHistogram;
 pub use mapping::{AddressMapping, ChannelInterleave, MappingScheme};
-pub use pool::ChannelPool;
 pub use request::{MemRequest, MemResponse};
-pub use system::{MemorySystem, SteppingStats};
+pub use system::MemorySystem;

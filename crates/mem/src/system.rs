@@ -28,63 +28,13 @@
 //! bit-for-bit.
 
 use crate::config::MemControllerConfig;
-use crate::controller::{BhEvent, BhEventKind, ControllerStats, MemoryController};
+use crate::controller::{ControllerStats, MemoryController};
 use crate::latency::LatencyHistogram;
-use crate::pool::{advance_channel, ChannelPool, ChannelTask};
 use crate::request::{MemRequest, MemResponse};
 use bh_core::BreakHammer;
 use bh_dram::{Cycle, DramChannel, DramGeometry, PhysAddr, ThreadId};
 use bh_mitigation::TriggerMechanism;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Counters describing epoch-parallel channel stepping (see
-/// [`MemorySystem::advance_epoch`]). All zeros under serial stepping.
-// bh-exhaustive: `accumulate` destructures every field; bh_analyze rule X1
-// rejects any `..` at a `SteppingStats { .. }` use site.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SteppingStats {
-    /// Epochs executed (inline or pooled).
-    pub epochs: u64,
-    /// Epochs dispatched to the worker pool (the rest ran inline on the
-    /// simulation thread because the span was too short to amortize a
-    /// wake-up — a pure throughput heuristic, never a behavioural one).
-    pub parallel_epochs: u64,
-    /// DRAM cycles covered by epochs (the merged steps the serial schedule
-    /// would have executed one by one).
-    pub epoch_cycles: u64,
-    /// Controller tick events processed inside epochs, across channels.
-    pub channel_events: u64,
-    /// Recorded BreakHammer events replayed at epoch merges.
-    pub bh_events_replayed: u64,
-}
-
-impl SteppingStats {
-    /// Adds another run's counters into this one (campaign aggregation).
-    pub fn accumulate(&mut self, other: &SteppingStats) {
-        // Exhaustive destructuring (no `..`): adding a counter without
-        // aggregating it here is a compile error, not a silent zero in
-        // campaign-level summaries.
-        let SteppingStats {
-            epochs,
-            parallel_epochs,
-            epoch_cycles,
-            channel_events,
-            bh_events_replayed,
-        } = other;
-        self.epochs += epochs;
-        self.parallel_epochs += parallel_epochs;
-        self.epoch_cycles += epoch_cycles;
-        self.channel_events += channel_events;
-        self.bh_events_replayed += bh_events_replayed;
-    }
-}
-
-/// Epochs shorter than this run inline on the simulation thread instead of
-/// waking the pool: the fixed cost of a generation dispatch only pays for
-/// itself when every channel has a few events' worth of work. Purely a
-/// throughput heuristic — inline and pooled execution are bit-identical.
-const POOLED_EPOCH_MIN_SPAN: u64 = 24;
 
 /// A multi-channel memory system: per-channel controllers + mitigation
 /// instances behind one request-routing facade, with one shared BreakHammer.
@@ -105,21 +55,6 @@ pub struct MemorySystem {
     /// routing and per-channel iteration and forward straight to
     /// `controllers[0]`.
     single_channel: bool,
-    /// Per-channel BreakHammer event recordings of the current epoch
-    /// (cleared at each epoch start; merged in (cycle, channel) order after
-    /// the barrier).
-    bh_events: Vec<Vec<BhEvent>>,
-    /// Per-channel tick-event counts of the current epoch (scratch).
-    epoch_ticks: Vec<u64>,
-    /// Per-channel cursors of the epoch-merge replay (scratch).
-    merge_cursors: Vec<usize>,
-    /// Reusable task list handed to the pool each epoch.
-    task_buf: Vec<ChannelTask>,
-    /// The persistent epoch worker pool, spawned lazily on the first epoch
-    /// wide enough to use it.
-    pool: Option<ChannelPool>,
-    /// Epoch-stepping counters.
-    stepping: SteppingStats,
 }
 
 impl std::fmt::Debug for MemorySystem {
@@ -164,25 +99,10 @@ impl MemorySystem {
         if let Some(bh) = breakhammer.as_mut() {
             bh.declare_channels(controllers.len());
         }
-        let channels_len = controllers.len();
         let pending_enqueue: Vec<VecDeque<MemRequest>> =
             controllers.iter().map(|_| VecDeque::new()).collect();
-        let bh_events = controllers.iter().map(|_| Vec::new()).collect();
-        let epoch_ticks = vec![0; channels_len];
-        let single_channel = channels_len == 1;
-        MemorySystem {
-            controllers,
-            breakhammer,
-            pending_enqueue,
-            pending_total: 0,
-            single_channel,
-            bh_events,
-            epoch_ticks,
-            merge_cursors: vec![0; channels_len],
-            task_buf: Vec::new(),
-            pool: None,
-            stepping: SteppingStats::default(),
-        }
+        let single_channel = controllers.len() == 1;
+        MemorySystem { controllers, breakhammer, pending_enqueue, pending_total: 0, single_channel }
     }
 
     /// Number of memory channels.
@@ -280,121 +200,6 @@ impl MemorySystem {
                 self.controllers[channel].absorb_enqueue_rejections(n);
             }
         }
-    }
-
-    /// Advances every channel independently from `from` up to (and
-    /// excluding) `to` — one *epoch* of the parallel stepping kernel — then
-    /// replays the channels' recorded BreakHammer events into the shared
-    /// observer in (cycle, channel-index) order: exactly the order the
-    /// serial schedule reports the same events in, since the serial kernel
-    /// ticks channels in index order within each merged step. The caller
-    /// performs the step at `to` itself through the normal serial path,
-    /// which applies the remaining cross-channel effects (response draining,
-    /// retry promotion, quota propagation) under the serial ordering.
-    ///
-    /// The epoch contract — the caller must guarantee that `to` does not
-    /// exceed the earliest cross-channel synchronization point: the shared
-    /// observer's next window edge (so window rotations never fall inside an
-    /// epoch) and the earliest cycle a core could unstall and issue new
-    /// traffic. Within those bounds the channels are fully independent, so
-    /// pooled, inline, and serial execution are bit-identical; whether the
-    /// worker pool is used (and with how many threads) is a pure throughput
-    /// decision.
-    pub fn advance_epoch(&mut self, from: Cycle, to: Cycle) {
-        debug_assert!(to > from + 1, "an epoch must cover at least one interior cycle");
-        let record = self.breakhammer.is_some();
-        let span = to - from;
-        self.stepping.epochs += 1;
-        self.stepping.epoch_cycles += span;
-        for buf in &mut self.bh_events {
-            buf.clear();
-        }
-        self.epoch_ticks.fill(0);
-        let channels = self.controllers.len();
-        let pooled = channels > 1 && span >= POOLED_EPOCH_MIN_SPAN;
-        if pooled {
-            self.stepping.parallel_epochs += 1;
-            let pool = self.pool.get_or_insert_with(|| {
-                // `BH_EPOCH_WORKERS` pins the participant count (the main
-                // thread included); otherwise one participant per channel,
-                // capped by the machine. A pure throughput knob — epoch
-                // results are bit-identical at any worker count. A value that
-                // is not a positive integer falls back to auto-detection with
-                // a one-time warning rather than failing silently (the shared
-                // parse/warn-once helper in `bh_core::knobs`).
-                let participants =
-                    bh_core::knobs::positive_usize("BH_EPOCH_WORKERS", "one worker per channel")
-                        .unwrap_or_else(|| {
-                            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-                        })
-                        .min(channels);
-                ChannelPool::new(participants.saturating_sub(1))
-            });
-            let mut tasks = std::mem::take(&mut self.task_buf);
-            tasks.clear();
-            for (((ctrl, pending), events), ticks) in self
-                .controllers
-                .iter_mut()
-                .zip(self.pending_enqueue.iter_mut())
-                .zip(self.bh_events.iter_mut())
-                .zip(self.epoch_ticks.iter_mut())
-            {
-                tasks.push(ChannelTask::new(ctrl, pending, events, ticks, record, from, to));
-            }
-            pool.dispatch(&mut tasks);
-            self.task_buf = tasks;
-        } else {
-            for (((ctrl, pending), events), ticks) in self
-                .controllers
-                .iter_mut()
-                .zip(self.pending_enqueue.iter_mut())
-                .zip(self.bh_events.iter_mut())
-                .zip(self.epoch_ticks.iter_mut())
-            {
-                *ticks = advance_channel(ctrl, pending, record.then_some(events), from, to);
-            }
-        }
-        self.pending_total = self.pending_enqueue.iter().map(VecDeque::len).sum();
-        self.stepping.channel_events += self.epoch_ticks.iter().sum::<u64>();
-        if let Some(bh) = self.breakhammer.as_mut() {
-            // K-way merge by (cycle, channel). Scanning channels in
-            // ascending order with a strict `<` keeps the lowest channel on
-            // cycle ties, and within one (cycle, channel) the buffer order
-            // (activation first, then its preventive actions) is preserved —
-            // both exactly as the live serial schedule observes them.
-            let mut replayed = 0u64;
-            self.merge_cursors.fill(0);
-            loop {
-                let mut best: Option<(Cycle, usize)> = None;
-                for (channel, buf) in self.bh_events.iter().enumerate() {
-                    if let Some(ev) = buf.get(self.merge_cursors[channel]) {
-                        if best.is_none_or(|(cycle, _)| ev.cycle < cycle) {
-                            best = Some((ev.cycle, channel));
-                        }
-                    }
-                }
-                let Some((_, channel)) = best else { break };
-                let ev = self.bh_events[channel][self.merge_cursors[channel]];
-                self.merge_cursors[channel] += 1;
-                // Window rotations are pure no-ops inside an epoch (the
-                // caller capped `to` at the window edge), so skipping the
-                // live schedule's `advance_to` calls is behaviour-neutral.
-                debug_assert!(ev.cycle < bh.next_window_end());
-                match ev.kind {
-                    BhEventKind::Activation(thread) => bh.on_activation(thread, ev.cycle),
-                    BhEventKind::PreventiveAction => {
-                        bh.on_preventive_action_from(channel, ev.cycle);
-                    }
-                }
-                replayed += 1;
-            }
-            self.stepping.bh_events_replayed += replayed;
-        }
-    }
-
-    /// Epoch-stepping counters (all zeros under serial stepping).
-    pub fn stepping_stats(&self) -> &SteppingStats {
-        &self.stepping
     }
 
     /// Advances every channel controller by one DRAM cycle. The shared

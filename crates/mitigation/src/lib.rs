@@ -50,6 +50,7 @@
 //! assert!(preventive_refreshes > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

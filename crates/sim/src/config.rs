@@ -46,48 +46,15 @@ pub enum FrontEndKind {
     Engine,
 }
 
-/// How the event-driven kernel steps the per-channel memory controllers in
-/// [`crate::System::run`].
-///
-/// Both variants produce bit-identical [`crate::SimulationResult`]s; serial
-/// stepping is retained as the executable reference model (the golden-digest
-/// matrices and `tests/parallel_differential.rs` at the workspace root pin
-/// the equivalence). The per-cycle kernel ignores this knob — it has no
-/// cross-channel dead time to batch.
-///
-/// Parallel stepping batches the controllers in *epochs*: after a step at
-/// cycle `a`, the kernel derives a horizon `h` before which no cross-channel
-/// interaction can occur (no core wakes, no LLC fill completes, no
-/// BreakHammer window rotates, no quota is pending, and no in-epoch read can
-/// complete — `h ≤ a + 1 + read latency`). Each channel then advances
-/// through its own event chain to `h` independently (on the worker pool when
-/// the epoch is wide enough, inline otherwise), recording its
-/// BreakHammer-observable events; a single-threaded merge replays those
-/// events into the shared observer in (cycle, channel-index) order — the
-/// exact order the serial schedule produces — before the next full step at
-/// `h`. Worker count and dispatch heuristics can therefore never change the
-/// simulated behaviour, only the wall-clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChannelStepping {
-    /// Reference: every channel controller is ticked at every stepped cycle.
-    #[default]
-    Serial,
-    /// Epoch-barrier stepping: channels advance to the merged next-event
-    /// horizon independently, then cross-channel effects are merged in
-    /// channel-index order.
-    Parallel,
-}
-
 /// Forward-progress watchdog: detects livelocked runs deterministically, in
 /// simulated time only (no wall clock anywhere in the sim crates).
 ///
 /// The watchdog samples global progress — instructions retired plus DRAM
-/// demand requests served — at fixed DRAM-cycle epoch boundaries. Every
-/// kernel (per-cycle, event-driven serial, event-driven parallel) steps at
-/// each boundary (event horizons are clamped there; undershooting a horizon
-/// is always behaviour-neutral), so the samples, the verdict and the
-/// [`LivelockReport`](crate::LivelockReport) are bit-identical across
-/// kernels, stepping modes and front-ends.
+/// demand requests served — at fixed DRAM-cycle epoch boundaries. Both
+/// kernels step at each boundary (event horizons are clamped there;
+/// undershooting a horizon is always behaviour-neutral), so the samples, the
+/// verdict and the [`LivelockReport`](crate::LivelockReport) are
+/// bit-identical across kernels and front-ends.
 ///
 /// [`WatchdogConfig::stall_epochs`] consecutive epochs with zero progress —
 /// or the same number of consecutive identical state digests (queue depths,
@@ -199,10 +166,6 @@ pub struct SystemConfig {
     /// both; see [`FrontEndKind`]).
     #[serde(default)]
     pub front_end: FrontEndKind,
-    /// How the event-driven kernel steps the per-channel memory controllers
-    /// (results are identical for both; see [`ChannelStepping`]).
-    #[serde(default)]
-    pub stepping: ChannelStepping,
     /// Fault-injection model: how disturbance-threshold crossings turn into
     /// bit-flips, and the ECC scheme classifying them. The default (hard
     /// threshold, no ECC) is bit-identical to the pre-fault-model simulator.
@@ -264,7 +227,6 @@ impl SystemConfig {
             seed: 0,
             scheduler: SchedulerKind::default(),
             front_end: FrontEndKind::default(),
-            stepping: ChannelStepping::default(),
             fault: FaultConfig::default(),
             watchdog: WatchdogConfig::default(),
             chaos: ChaosConfig::default(),
@@ -303,7 +265,6 @@ impl SystemConfig {
             seed: 0,
             scheduler: SchedulerKind::default(),
             front_end: FrontEndKind::default(),
-            stepping: ChannelStepping::default(),
             fault: FaultConfig::default(),
             watchdog: WatchdogConfig::default(),
             chaos: ChaosConfig::default(),

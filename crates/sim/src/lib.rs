@@ -33,6 +33,7 @@
 //! println!("weighted speedup of benign apps: {:.3}", evaluation.weighted_speedup);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -42,9 +43,7 @@ pub mod runner;
 pub mod system;
 pub mod watchdog;
 
-pub use config::{
-    ChannelStepping, ChaosConfig, FrontEndKind, SchedulerKind, SystemConfig, WatchdogConfig,
-};
+pub use config::{ChaosConfig, FrontEndKind, SchedulerKind, SystemConfig, WatchdogConfig};
 pub use result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,

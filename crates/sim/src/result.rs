@@ -3,7 +3,7 @@
 use bh_core::BreakHammerStats;
 use bh_cpu::CacheStats;
 use bh_dram::{Cycle, DramStats, RowAddr, ThreadId};
-use bh_mem::{ControllerStats, LatencyHistogram, SteppingStats};
+use bh_mem::{ControllerStats, LatencyHistogram};
 use serde::{Deserialize, Serialize};
 
 /// Performance of one core over the run.
@@ -70,8 +70,7 @@ pub struct AttackOutcome {
 /// are produced by the forward-progress watchdog
 /// ([`WatchdogConfig`](crate::WatchdogConfig)). The verdict is computed at
 /// deterministic DRAM-cycle epoch boundaries from step-invariant state only,
-/// so it is bit-identical across both scheduler kernels, both stepping modes
-/// and both front-ends.
+/// so it is bit-identical across both scheduler kernels and both front-ends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TerminationReason {
     /// Every required core retired its instruction budget.
@@ -139,7 +138,7 @@ pub struct ChannelLaneState {
 ///
 /// Built exclusively from step-invariant state at a deterministic epoch
 /// boundary, so the report — like the verdict — is bit-identical across
-/// kernels, stepping modes and front-ends.
+/// kernels and front-ends.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LivelockReport {
     /// DRAM cycle of the epoch boundary where the verdict fired.
@@ -274,14 +273,8 @@ pub struct SimulationResult {
     /// (all zeros under the default hard-threshold model with no flips).
     #[serde(default)]
     pub outcome: AttackOutcome,
-    /// Epoch-stepping counters (all zeros under serial stepping). *Not* part
-    /// of the behavioural surface: serial-vs-parallel differential tests
-    /// normalize this field to its default before comparing, since it
-    /// describes how the run was scheduled, not what it computed.
-    #[serde(default)]
-    pub stepping: SteppingStats,
     /// Why the run stopped. Part of the behavioural surface (bit-identical
-    /// across kernels/stepping/front-ends) but *not* of the digest-pinned
+    /// across kernels and front-ends) but *not* of the digest-pinned
     /// field list: the watchdog never fires on healthy runs, so pinned
     /// goldens stay byte-identical.
     #[serde(default)]
@@ -355,7 +348,6 @@ mod tests {
             per_channel: Vec::new(),
             victims: Vec::new(),
             outcome: AttackOutcome::default(),
-            stepping: SteppingStats::default(),
             termination: TerminationReason::default(),
             livelock: None,
         }

@@ -26,6 +26,7 @@
 //! assert!(unfairness >= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -36,6 +36,7 @@
 //! assert_eq!(mix.attacker_thread, Some(3));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

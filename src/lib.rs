@@ -33,6 +33,7 @@
 //! assert!(bh.score(ThreadId(0)) > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The BreakHammer throttling mechanism (the paper's contribution).

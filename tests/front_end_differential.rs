@@ -88,16 +88,37 @@ fn benign_workloads_are_identical_across_front_ends() {
 
 /// The sharded memory system: both front-ends must agree at 1, 2 and 4
 /// channels (the 1-channel fast path and the channel-routing path both feed
-/// the same LLC/fill plumbing the front-end interacts with).
+/// the same LLC/fill plumbing the front-end interacts with), under both
+/// kernels.
 #[test]
 fn multichannel_systems_are_identical_across_front_ends() {
     for channels in [1usize, 2, 4] {
-        let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, true);
-        config.geometry = config.geometry.with_channels(channels);
-        config.instructions_per_core = 4_000;
-        let traces = attack_traces(&config, 1_500, 100);
-        assert_identical(config, &traces, vec![0, 1, 2]);
+        for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
+            let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, true);
+            config.geometry = config.geometry.with_channels(channels);
+            config.instructions_per_core = 4_000;
+            config.scheduler = kernel;
+            let traces = attack_traces(&config, 1_500, 100);
+            assert_identical(config, &traces, vec![0, 1, 2]);
+        }
     }
+}
+
+/// Both front-ends agree on the probabilistic fault model's outcome on a
+/// 2-channel system, and the run must actually produce flips.
+#[test]
+fn probabilistic_fault_model_is_identical_across_front_ends() {
+    use breakhammer_suite::dram::{EccMode, FaultConfig, FaultModel};
+    let mut config = SystemConfig::fast_test(MechanismKind::None, 64, false).with_channels(2);
+    config.instructions_per_core = 6_000;
+    config.fault = FaultConfig {
+        model: FaultModel::Probabilistic { flip_probability: 0.7, nrh_variation: 0.2 },
+        ecc: EccMode::SecDed,
+    };
+    let traces = attack_traces(&config, 2_000, 100);
+    let (legacy, engine) = run_both(config, &traces, vec![0, 1, 2]);
+    assert!(legacy.outcome.flips_raw > 0, "no flips — coverage lost");
+    assert_eq!(legacy, engine, "front-ends diverged on the fault model");
 }
 
 /// The cutoff edge: a run that ends at `max_dram_cycles` with cores still

@@ -7,7 +7,7 @@
 //! [`SimulationResult`]. This suite runs the same workload under both kernels
 //! and asserts full equality, over a deterministic mechanism matrix and over
 //! proptest-randomized mixes (benign and attack, several mechanisms,
-//! BreakHammer on and off).
+//! BreakHammer on and off, 1, 2 and 4 channels).
 
 use breakhammer_suite::cpu::Trace;
 use breakhammer_suite::mitigation::MechanismKind;
@@ -39,7 +39,8 @@ fn assert_identical(config: SystemConfig, traces: &[Trace], required: Vec<usize>
 }
 
 /// Every mechanism (and the no-defense baseline), with and without
-/// BreakHammer, under attack, must be bit-identical across the kernels.
+/// BreakHammer, under attack on 1 and 2 channels, must be bit-identical
+/// across the kernels.
 #[test]
 fn all_mechanisms_under_attack_are_identical_across_kernels() {
     for mechanism in [
@@ -54,11 +55,12 @@ fn all_mechanisms_under_attack_are_identical_across_kernels() {
         MechanismKind::Prac,
         MechanismKind::BlockHammer,
     ] {
-        for breakhammer in [false, true] {
+        for (breakhammer, channels) in [(false, 1usize), (true, 1), (false, 2), (true, 2)] {
             if mechanism == MechanismKind::None && breakhammer {
                 continue;
             }
-            let mut config = SystemConfig::fast_test(mechanism, 128, breakhammer);
+            let mut config =
+                SystemConfig::fast_test(mechanism, 128, breakhammer).with_channels(channels);
             config.instructions_per_core = 6_000;
             let traces = attack_traces(&config, 2_000, 100);
             assert_identical(config, &traces, vec![0, 1, 2]);
@@ -110,26 +112,42 @@ fn benign_mixes_are_identical_across_kernels() {
 }
 
 /// A run that hits the `max_dram_cycles` safety cap must stop at the same
-/// cycle with the same partial statistics under both kernels.
+/// cycle with the same partial statistics under both kernels, at every
+/// channel count.
 #[test]
 fn max_cycle_cutoff_is_identical_across_kernels() {
-    let mut config = SystemConfig::fast_test(MechanismKind::Aqua, 64, false);
-    config.instructions_per_core = 50_000;
-    config.max_dram_cycles = 40_000; // far too few to finish
-    let traces = attack_traces(&config, 2_000, 7);
-    let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
-    assert_eq!(reference.dram_cycles, 40_000);
-    assert_eq!(reference, event_driven);
+    // More channels serve the attack faster, so they get a tighter cap.
+    for (channels, cap) in [(1usize, 40_000u64), (2, 30_000), (4, 30_000)] {
+        let mut config =
+            SystemConfig::fast_test(MechanismKind::Aqua, 64, false).with_channels(channels);
+        config.instructions_per_core = 50_000;
+        config.max_dram_cycles = cap; // far too few to finish
+        let traces = attack_traces(&config, 2_000, 7);
+        let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
+        assert_eq!(reference.dram_cycles, cap, "the cap must bind at {channels} channels");
+        assert_eq!(reference, event_driven, "cutoff diverged at {channels} channels");
+    }
 }
 
 /// Aggressive BreakHammer throttling (tiny windows, low thresholds) exercises
 /// the quota-restoration window edges the event-driven kernel must hit
 /// exactly: the rotation happens at the edge cycle and the restored quotas
-/// reach the LLC on the very next cycle, waking quota-stalled cores.
+/// reach the LLC on the very next cycle, waking quota-stalled cores. The
+/// 2-channel cases rotate the shared window over per-channel event chains.
 #[test]
 fn tight_breakhammer_windows_are_identical_across_kernels() {
-    for (window, seed) in [(300u64, 42u64), (1_000, 6), (2_000, 6), (2_000, 7), (500, 11)] {
-        let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 64, true);
+    for (window, seed, channels) in [
+        (300u64, 42u64, 1usize),
+        (1_000, 6, 1),
+        (2_000, 6, 1),
+        (2_000, 7, 1),
+        (500, 11, 1),
+        (300, 42, 2),
+        (1_000, 6, 2),
+        (2_000, 7, 2),
+    ] {
+        let mut config =
+            SystemConfig::fast_test(MechanismKind::Graphene, 64, true).with_channels(channels);
         config.instructions_per_core = 30_000;
         let mut bh = config.effective_breakhammer_config();
         bh.threat_threshold = 4.0;
@@ -144,7 +162,10 @@ fn tight_breakhammer_windows_are_identical_across_kernels() {
             stats.windows_completed > 0,
             "window {window}: no rotation happened — the test lost its coverage"
         );
-        assert_eq!(reference, event_driven, "kernels diverged for window {window} seed {seed}");
+        assert_eq!(
+            reference, event_driven,
+            "kernels diverged for window {window} seed {seed} at {channels} channels"
+        );
     }
 }
 
@@ -181,7 +202,8 @@ fn quota_starved_tail_is_identical_across_kernels() {
 /// next-event horizon (minimum over per-channel controllers) has the same
 /// never-overshoot contract as a single controller's. The fuller channel
 /// matrix (mechanisms × interleave policies) lives in `tests/multichannel.rs`;
-/// this case keeps the channels axis visible in the core differential suite.
+/// this case keeps the channels axis visible in the core differential suite,
+/// for attack and all-benign mixes.
 #[test]
 fn multi_channel_systems_are_identical_across_kernels() {
     for channels in [2usize, 4] {
@@ -189,20 +211,50 @@ fn multi_channel_systems_are_identical_across_kernels() {
             SystemConfig::fast_test(MechanismKind::Graphene, 128, true).with_channels(channels);
         config.instructions_per_core = 6_000;
         let traces = attack_traces(&config, 2_000, 100);
-        let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
+        let (reference, event_driven) = run_both(config.clone(), &traces, vec![0, 1, 2]);
         assert_eq!(reference, event_driven, "kernels diverged at {channels} channels");
+
+        let traces = benign_traces(&config, 2_000, 100);
+        let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2, 3]);
+        assert_eq!(reference, event_driven, "benign mix diverged at {channels} channels");
+    }
+}
+
+/// The probabilistic fault model draws every bit-flip from a pure hash of
+/// `(seed, channel, bank, row, crossing index)`, so its output must be
+/// bit-identical across the kernels on a 2-channel system — and the run must
+/// actually produce flips, or the assertion is vacuous.
+#[test]
+fn probabilistic_fault_model_is_identical_across_kernels() {
+    use breakhammer_suite::dram::{EccMode, FaultConfig, FaultModel};
+    for nrh in [64u64, 128] {
+        let mut config = SystemConfig::fast_test(MechanismKind::None, nrh, false).with_channels(2);
+        config.instructions_per_core = 6_000;
+        config.fault = FaultConfig {
+            model: FaultModel::Probabilistic { flip_probability: 0.7, nrh_variation: 0.2 },
+            ecc: EccMode::SecDed,
+        };
+        let traces = attack_traces(&config, 2_000, 100);
+        let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
+        assert!(
+            reference.outcome.flips_raw > 0,
+            "no probabilistic flips at nrh {nrh} — the differential lost its coverage"
+        );
+        assert_eq!(reference, event_driven, "kernels diverged on the fault model at nrh {nrh}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Randomized small mixes: mechanism, threshold, BreakHammer, budget,
-    /// trace length and seed all vary; the kernels must never diverge.
+    /// Randomized small mixes: mechanism, threshold, channel count,
+    /// BreakHammer, budget, trace length and seed all vary; the kernels must
+    /// never diverge.
     #[test]
     fn randomized_mixes_are_identical_across_kernels(
         mechanism_idx in 0usize..6,
         nrh_idx in 0usize..3,
+        channels_idx in 0usize..3,
         breakhammer in any::<bool>(),
         attack in any::<bool>(),
         instructions in 1_500u64..5_000,
@@ -218,7 +270,9 @@ proptest! {
             MechanismKind::BlockHammer,
         ][mechanism_idx];
         let nrh = [64u64, 256, 1024][nrh_idx];
-        let mut config = SystemConfig::fast_test(mechanism, nrh, breakhammer);
+        let channels = [1usize, 2, 4][channels_idx];
+        let mut config =
+            SystemConfig::fast_test(mechanism, nrh, breakhammer).with_channels(channels);
         config.instructions_per_core = instructions;
         config.seed = seed;
         let (traces, required) = if attack {
