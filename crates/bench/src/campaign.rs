@@ -1381,6 +1381,24 @@ mod tests {
         assert_eq!(cell_id(&a, "HHHA-00", 42), format!("{}/HHHA-00/42", config_digest(&a)));
     }
 
+    /// Cell identity is a pure function of `format!("{config:?}")`, so any
+    /// change to `SystemConfig`'s fields or their `Debug` form re-keys every
+    /// cell, and stores written earlier resume as all-new cells. Pinning a
+    /// few paper cells turns such a re-key into a reviewed diff.
+    #[test]
+    fn config_digest_of_paper_cells_is_pinned() {
+        let scale = Scale::quick();
+        let four_channels = Scale { channels: 4, ..Scale::quick() };
+        for (config, pinned) in [
+            (paper_config(MechanismKind::Graphene, 64, true, &scale), "d5f7fe78f37a98e5"),
+            (paper_config(MechanismKind::Graphene, 64, false, &scale), "c73934ef8e3ec3ea"),
+            (paper_config(MechanismKind::Para, 1024, true, &scale), "4fa4334df4aaf108"),
+            (paper_config(MechanismKind::Aqua, 64, true, &four_channels), "f75732d941b288d2"),
+        ] {
+            assert_eq!(config_digest(&config), pinned, "{}", config.summary());
+        }
+    }
+
     #[test]
     fn store_create_refuses_data_and_append_requires_it() {
         let path = test_path("store-semantics");

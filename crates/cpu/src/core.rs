@@ -8,25 +8,28 @@
 //! stalls the core — which is how DRAM contention (and BreakHammer's MSHR
 //! throttling) translates into reduced instructions-per-cycle.
 //!
-//! [`Core`] is the per-object **reference model** of this behaviour: the
-//! simulator's default replay path is the data-oriented
-//! [`CoreEngine`](crate::CoreEngine), whose `tick_core` mirrors
-//! [`Core::tick`] statement by statement and is differentially tested
-//! against it (a proptest in `crate::engine` and the front-end differential
-//! suite at the workspace root). Behavioural changes must be made to *both*
-//! models — the differentials will catch a one-sided edit.
+//! [`Core`] is the per-object **reference model** of this behaviour, and
+//! [`ReferenceCores`] drives one per thread. The simulator's only production
+//! replay path is the data-oriented [`CoreEngine`](crate::CoreEngine), whose
+//! `tick_core` mirrors [`Core::tick`] statement by statement. The two are
+//! differentially tested: a proptest in `crate::engine` and the reference
+//! differential suite at the workspace root, which compares
+//! `bh_sim::System::run` against `System::run_reference`. Behavioural
+//! changes must be made to *both* models — the differentials will catch a
+//! one-sided edit.
 
 use crate::cache::{AccessOutcome, LastLevelCache, MissToken, RejectReason};
-use crate::trace::Trace;
+use crate::trace::{CompiledTrace, Trace};
 use bh_dram::{Cycle, ThreadId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Description of a core that cannot make architectural progress, produced by
-/// [`Core::progress`]. While a core is stalled, each [`Core::tick`] is a pure
-/// counter increment; the event-driven simulation kernel uses this analysis
-/// to skip those dead cycles and replay the counters in bulk via
-/// [`Core::absorb_stall_ticks`].
+/// [`CoreEngine::progress`](crate::CoreEngine::progress). While a core is
+/// stalled, each of its ticks is a pure counter increment; the event-driven
+/// simulation kernel uses this analysis to skip those dead cycles and replay
+/// the counters in bulk via
+/// [`CoreEngine::absorb_stall_ticks`](crate::CoreEngine::absorb_stall_ticks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallInfo {
     /// Earliest CPU cycle at which the core can make progress on its own
@@ -43,7 +46,8 @@ pub struct StallInfo {
     pub reject: Option<RejectReason>,
 }
 
-/// Whether a core can make progress at its next tick (see [`Core::progress`]).
+/// Whether a core can make progress at its next tick (see
+/// [`CoreEngine::progress`](crate::CoreEngine::progress)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreProgress {
     /// The instruction budget has been retired; the core no longer ticks.
@@ -212,10 +216,10 @@ impl Core {
     /// If the core is hard-stalled — instruction window full with an
     /// incomplete-looking miss at its head — returns that head's token. Until
     /// the token completes, every tick of this core is exactly one retire
-    /// stall (no dispatch can run, no self-state can change), so the
-    /// simulator may skip ticking it and replay the cycles in bulk via
+    /// stall (no dispatch can run, no self-state can change), so
+    /// [`ReferenceCores`] skips ticking it and replays the cycles in bulk via
     /// [`Core::absorb_hard_stall`]. The caller checks the token's completion.
-    pub fn window_full_on(&self) -> Option<MissToken> {
+    fn window_full_on(&self) -> Option<MissToken> {
         if self.window_len < self.config.window_size {
             return None;
         }
@@ -228,7 +232,7 @@ impl Core {
     /// Replays `ticks` hard-stalled cycles (see [`Core::window_full_on`]):
     /// the per-cycle kernel would have counted each as one core cycle and one
     /// retire-stall cycle.
-    pub fn absorb_hard_stall(&mut self, ticks: u64) {
+    fn absorb_hard_stall(&mut self, ticks: u64) {
         self.stats.cycles += ticks;
         self.stats.retire_stall_cycles += ticks;
     }
@@ -242,65 +246,6 @@ impl Core {
             self.window.push_back(WindowEntry::Done(n as u32));
         }
         self.window_len += n;
-    }
-
-    /// Classifies what the core's next tick (at CPU cycle `next_cycle`) would
-    /// do, without mutating anything: make progress, stall on the window
-    /// head, or spin on a rejected LLC access. The analysis mirrors
-    /// [`Core::tick`] exactly and stays valid until an external event (an LLC
-    /// fill completion or a quota change) occurs, because a stalled core
-    /// cannot change its own inputs.
-    pub fn progress(&self, llc: &LastLevelCache, next_cycle: Cycle) -> CoreProgress {
-        if self.finished {
-            return CoreProgress::Finished;
-        }
-        // Would the retire stage make progress?
-        let (retire_progress, wake_at, retire_stalled) = match self.window.front() {
-            Some(WindowEntry::Done(_)) => (true, None, false),
-            Some(WindowEntry::ReadyAt(t)) => (*t <= next_cycle, Some(*t), false),
-            Some(WindowEntry::Pending(token)) => (llc.is_completed(*token), None, true),
-            None => (false, None, false),
-        };
-        if retire_progress {
-            return CoreProgress::Active;
-        }
-        // Would the dispatch stage make progress?
-        let mut reject = None;
-        if self.window_len < self.config.window_size {
-            if self.bubbles_left > 0 || !self.access_pending {
-                return CoreProgress::Active;
-            }
-            let entry = self.trace.entry(self.position);
-            if let Some((addr, uncached, stamp, reason)) = self.last_reject {
-                if addr == entry.addr
-                    && uncached == entry.uncached
-                    && llc.reject_memo_valid(self.thread, addr, reason, stamp)
-                {
-                    reject = Some(reason);
-                    return CoreProgress::Stalled(StallInfo { wake_at, retire_stalled, reject });
-                }
-            }
-            match llc.probe_reject(self.thread, entry.addr, entry.uncached) {
-                None => return CoreProgress::Active,
-                Some(reason) => reject = Some(reason),
-            }
-        }
-        CoreProgress::Stalled(StallInfo { wake_at, retire_stalled, reject })
-    }
-
-    /// Replays `ticks` stalled cycles' counter increments in bulk (the
-    /// event-driven kernel's counterpart of calling [`Core::tick`] that many
-    /// times while [`Core::progress`] reports [`CoreProgress::Stalled`]).
-    /// The caller accounts for the rejected LLC probes separately via
-    /// [`LastLevelCache::absorb_rejected_probes`].
-    pub fn absorb_stall_ticks(&mut self, ticks: u64, stall: &StallInfo) {
-        self.stats.cycles += ticks;
-        if stall.retire_stalled {
-            self.stats.retire_stall_cycles += ticks;
-        }
-        if stall.reject.is_some() {
-            self.stats.dispatch_stall_cycles += ticks;
-        }
     }
 
     /// Advances the core by one cycle, retiring and dispatching instructions.
@@ -441,51 +386,81 @@ impl Core {
     }
 }
 
-/// Drives legacy per-object cores through the CPU cycles of one event
-/// epoch, exactly as the simulation kernel drives its reference front-end:
-/// cores are ticked in index order within each cycle, and a hard-stalled
-/// core (window full behind an incomplete miss, `stalled_on[i]` set) is not
-/// ticked — its cycles accrue as debt in `stall_debt[i]` and replay via
-/// [`Core::absorb_hard_stall`] when the miss completes.
+/// The per-object reference front-end: one [`Core`] per hardware thread plus
+/// the hard-stall bookkeeping that goes with them.
 ///
-/// This is *the* legacy epoch contract: the simulator's `FrontEndKind::
-/// Legacy` path and the engine's differential tests both call it, so the
-/// reference behaviour the differentials validate cannot drift from the
-/// reference behaviour the simulator runs.
-pub fn tick_epoch_legacy(
-    cores: &mut [Core],
-    stalled_on: &mut [Option<MissToken>],
-    stall_debt: &mut [u64],
-    cycles: std::ops::Range<Cycle>,
-    llc: &mut LastLevelCache,
-) {
-    for cpu_cycle in cycles {
-        for (i, core) in cores.iter_mut().enumerate() {
-            if core.finished() {
-                continue;
-            }
-            if let Some(token) = stalled_on[i] {
-                if !llc.is_completed(token) {
-                    stall_debt[i] += 1;
-                    continue;
-                }
-                core.absorb_hard_stall(std::mem::take(&mut stall_debt[i]));
-                stalled_on[i] = None;
-            }
-            core.tick(cpu_cycle, llc);
-            stalled_on[i] = core.window_full_on();
-        }
-    }
+/// Core `i` runs `ThreadId(i)`, exactly like lane `i` of a
+/// [`CoreEngine`](crate::CoreEngine) built from the same traces. Within an
+/// epoch, cores are ticked in index order within each cycle, and a
+/// hard-stalled core (window full behind an incomplete miss) is not ticked —
+/// its cycles accrue as debt and replay in bulk when the miss completes.
+/// `bh_sim::System::run_reference` steps this model every cycle and the
+/// engine's differential proptest compares against it, so the system-level
+/// and unit-level differentials check the same reference code.
+#[derive(Debug)]
+pub struct ReferenceCores {
+    cores: Vec<Core>,
+    /// Per core: the incomplete miss it is hard-stalled behind, if any.
+    stalled_on: Vec<Option<MissToken>>,
+    /// Per core: hard-stalled cycles not yet replayed into its counters.
+    stall_debt: Vec<u64>,
 }
 
-/// Folds outstanding hard-stall debt into the legacy cores' counters (the
-/// end-of-run counterpart of [`tick_epoch_legacy`]; see
-/// [`Core::absorb_hard_stall`]).
-pub fn settle_legacy(cores: &mut [Core], stall_debt: &mut [u64]) {
-    for (i, core) in cores.iter_mut().enumerate() {
-        let debt = std::mem::take(&mut stall_debt[i]);
-        if debt > 0 {
-            core.absorb_hard_stall(debt);
+impl ReferenceCores {
+    /// Builds one core per trace; core `i` runs `ThreadId(i)` and replays
+    /// `traces[i]` until `target_instructions` have retired.
+    ///
+    /// # Panics
+    /// Panics if `target_instructions` is zero.
+    pub fn new(config: CoreConfig, traces: &[CompiledTrace], target_instructions: u64) -> Self {
+        let cores: Vec<Core> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, t)| Core::new(ThreadId(i), config, t.to_trace(), target_instructions))
+            .collect();
+        let n = cores.len();
+        ReferenceCores { cores, stalled_on: vec![None; n], stall_debt: vec![0; n] }
+    }
+
+    /// The cores, in thread order. Call [`ReferenceCores::settle`] before
+    /// reading final statistics.
+    pub fn cores(&self) -> &[Core] {
+        &self.cores
+    }
+
+    /// True while core `core` is hard-stalled on an incomplete miss.
+    pub fn is_hard_stalled(&self, core: usize) -> bool {
+        self.stalled_on[core].is_some()
+    }
+
+    /// Steps every core through the CPU cycles of one epoch, in core-index
+    /// order within each cycle (the contract
+    /// [`CoreEngine::tick_epoch`](crate::CoreEngine::tick_epoch) mirrors).
+    pub fn tick_epoch(&mut self, cycles: std::ops::Range<Cycle>, llc: &mut LastLevelCache) {
+        for cpu_cycle in cycles {
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                if core.finished() {
+                    continue;
+                }
+                if let Some(token) = self.stalled_on[i] {
+                    if !llc.is_completed(token) {
+                        self.stall_debt[i] += 1;
+                        continue;
+                    }
+                    core.absorb_hard_stall(std::mem::take(&mut self.stall_debt[i]));
+                    self.stalled_on[i] = None;
+                }
+                core.tick(cpu_cycle, llc);
+                self.stalled_on[i] = core.window_full_on();
+            }
+        }
+    }
+
+    /// Folds outstanding hard-stall debt into the cores' counters (end of
+    /// run).
+    pub fn settle(&mut self) {
+        for (core, debt) in self.cores.iter_mut().zip(&mut self.stall_debt) {
+            core.absorb_hard_stall(std::mem::take(debt));
         }
     }
 }

@@ -21,15 +21,20 @@
 //! deterministically ordered batch: core *i*'s accesses observe exactly the
 //! cache state left by cores *0..i* of the same cycle, like the per-object
 //! loop they replace. This ordering is the engine's replay contract — the
-//! differential suites pin that [`CoreEngine`] and the legacy
-//! [`Core`](crate::Core) model produce bit-identical statistics for any
-//! trace, stall pattern and cutoff.
+//! differential suites pin that [`CoreEngine`] and the per-object
+//! [`ReferenceCores`](crate::ReferenceCores) produce bit-identical statistics
+//! for any trace, stall pattern and cutoff.
 //!
-//! The legacy [`Core`](crate::Core) stays as the executable reference model:
-//! `tick_core` below mirrors `Core::tick` statement by statement (and
-//! `progress` mirrors `Core::progress`), and a differential proptest in this
-//! module drives both over randomized traces, miss-completion schedules and
-//! quota flips.
+//! The engine is the only production front-end. The per-object
+//! [`Core`](crate::Core) stays as the executable reference model:
+//! `tick_core` below mirrors `Core::tick` statement by statement, and a
+//! differential proptest in this module drives the engine and
+//! [`ReferenceCores`](crate::ReferenceCores) over randomized traces,
+//! miss-completion schedules and quota flips. The engine's stall analysis
+//! ([`CoreEngine::progress`], [`CoreEngine::progress_batch`]) and bulk
+//! replay ([`CoreEngine::absorb_stall_ticks`]) have no per-object
+//! counterpart: only the event-driven kernel skips cycles, and it always
+//! runs the engine.
 
 use crate::cache::{AccessOutcome, LastLevelCache, MissToken, RejectReason};
 use crate::core::{CoreConfig, CoreProgress, CoreStats, StallInfo};
@@ -40,7 +45,7 @@ use std::ops::Range;
 /// Packed instruction-window entry: `payload << 2 | tag`.
 ///
 /// * tag 0 — a run of `payload` already-complete instructions (the RLE `Done`
-///   entry of the legacy window);
+///   entry of the reference `Core` window);
 /// * tag 1 — an LLC hit whose data is ready at core cycle `payload`;
 /// * tag 2 — an outstanding LLC miss with token `payload`.
 ///
@@ -70,7 +75,7 @@ fn payload(e: PackedEntry) -> u64 {
 }
 
 /// Memoized outcome of a core's last rejected LLC access (the engine-side
-/// mirror of the legacy core's `last_reject`): `(addr, uncached, stamp,
+/// mirror of the reference `Core`'s `last_reject`): `(addr, uncached, stamp,
 /// reason)`, see [`LastLevelCache::reject_memo_valid`].
 type RejectMemo = (PhysAddr, bool, u64, RejectReason);
 
@@ -203,6 +208,11 @@ impl CoreEngine {
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
         self.traces.len()
+    }
+
+    /// The compiled traces the cores replay, in core order.
+    pub fn traces(&self) -> &[CompiledTrace] {
+        &self.traces
     }
 
     /// True once core `core` has retired its instruction budget.
@@ -449,9 +459,12 @@ impl CoreEngine {
     }
 
     /// Classifies what core `core`'s next tick (at CPU cycle `next_cycle`)
-    /// would do, without mutating anything — the engine-side mirror of
-    /// [`Core::progress`](crate::Core::progress), used by the event-driven
-    /// kernel to find stall horizons. A hard-stalled core reports the same
+    /// would do, without mutating anything: make progress, stall on the
+    /// window head, or spin on a rejected LLC access. The event-driven kernel
+    /// uses it to find stall horizons. The analysis mirrors `tick_core`
+    /// exactly and stays valid until an external event (an LLC fill
+    /// completion or a quota change) occurs, because a stalled core cannot
+    /// change its own inputs. A hard-stalled core reports the same
     /// retire-stall classification the deferred ticks will replay.
     pub fn progress(&self, core: usize, llc: &LastLevelCache, next_cycle: Cycle) -> CoreProgress {
         let lane = &self.lanes[core];
@@ -502,12 +515,15 @@ impl CoreEngine {
     }
 
     /// Replays `ticks` stalled cycles' counter increments for core `core` in
-    /// bulk (the event-driven kernel's dead-cycle skip; see
-    /// [`Core::absorb_stall_ticks`](crate::Core::absorb_stall_ticks)).
+    /// bulk — the event-driven kernel's dead-cycle skip, equivalent to
+    /// ticking the core that many times while [`CoreEngine::progress`]
+    /// reports [`CoreProgress::Stalled`] with `stall`. The caller accounts
+    /// for the rejected LLC probes separately via
+    /// [`LastLevelCache::absorb_rejected_probes`].
     ///
     /// Skipped cycles go straight into the counters — only *stepped* cycles
-    /// of a hard-stalled core accrue as debt — exactly like the legacy
-    /// front-end, so the two models agree cycle for cycle, not just in sum.
+    /// of a hard-stalled core accrue as debt — so a skipping run and the
+    /// per-cycle reference agree cycle for cycle, not just in sum.
     pub fn absorb_stall_ticks(&mut self, core: usize, ticks: u64, stall: &StallInfo) {
         let lane = &mut self.lanes[core];
         lane.cycles += ticks;
@@ -583,45 +599,9 @@ fn advance_trace(lane: &mut Lane, trace: &CompiledTrace) {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::core::Core;
+    use crate::core::ReferenceCores;
     use crate::trace::{Trace, TraceEntry};
     use proptest::prelude::*;
-
-    /// The legacy per-object front-end, driven through the *shared*
-    /// `tick_epoch_legacy`/`settle_legacy` drivers — the same code the
-    /// simulator's `FrontEndKind::Legacy` path runs, so the contract this
-    /// differential validates is the contract the simulator executes.
-    struct LegacyFrontEnd {
-        cores: Vec<Core>,
-        stalled_on: Vec<Option<MissToken>>,
-        stall_debt: Vec<u64>,
-    }
-
-    impl LegacyFrontEnd {
-        fn new(config: CoreConfig, traces: &[Trace], target: u64) -> Self {
-            let cores = traces
-                .iter()
-                .enumerate()
-                .map(|(i, t)| Core::new(ThreadId(i), config, t.clone(), target))
-                .collect::<Vec<_>>();
-            let n = cores.len();
-            LegacyFrontEnd { cores, stalled_on: vec![None; n], stall_debt: vec![0; n] }
-        }
-
-        fn tick_epoch(&mut self, cycles: Range<Cycle>, llc: &mut LastLevelCache) {
-            crate::core::tick_epoch_legacy(
-                &mut self.cores,
-                &mut self.stalled_on,
-                &mut self.stall_debt,
-                cycles,
-                llc,
-            );
-        }
-
-        fn settle(&mut self) {
-            crate::core::settle_legacy(&mut self.cores, &mut self.stall_debt);
-        }
-    }
 
     fn llc(mshrs: usize) -> LastLevelCache {
         LastLevelCache::new(CacheConfig { mshrs, ..CacheConfig::tiny_test() }, 4)
@@ -662,8 +642,8 @@ mod tests {
         epoch: u64,
     ) {
         let config = CoreConfig { width: 4, window_size: 16, retire_width: 4 };
-        let mut legacy = LegacyFrontEnd::new(config, &traces, target);
-        let compiled = traces.iter().map(Trace::compile).collect();
+        let compiled: Vec<CompiledTrace> = traces.iter().map(Trace::compile).collect();
+        let mut reference = ReferenceCores::new(config, &compiled, target);
         let mut engine = CoreEngine::new(config, compiled, target);
         let mut llc_a = llc(mshrs);
         let mut llc_b = llc(mshrs);
@@ -696,7 +676,7 @@ mod tests {
                 }
             });
             let end = (cycle + epoch).min(max_cycles);
-            legacy.tick_epoch(cycle..end, &mut llc_a);
+            reference.tick_epoch(cycle..end, &mut llc_a);
             engine.tick_epoch(cycle..end, &mut llc_b);
             for out in llc_a.take_outgoing() {
                 if let Some(token) = out.token {
@@ -736,12 +716,12 @@ mod tests {
             }
             for i in 0..traces.len() {
                 assert_eq!(
-                    legacy.cores[i].finished(),
+                    reference.cores()[i].finished(),
                     engine.finished(i),
                     "finished flag diverged for core {i} at cycle {cycle}"
                 );
                 assert_eq!(
-                    legacy.stalled_on[i].is_some(),
+                    reference.is_hard_stalled(i),
                     engine.is_hard_stalled(i),
                     "hard-stall state diverged for core {i} at cycle {cycle}"
                 );
@@ -753,16 +733,13 @@ mod tests {
         }
         // Cutoff edge: settle outstanding hard-stall debt on both sides and
         // compare the final statistics bit for bit.
-        legacy.settle();
+        reference.settle();
         engine.settle();
         for i in 0..traces.len() {
-            assert_eq!(
-                legacy.cores[i].stats(),
-                &engine.stats(i),
-                "final stats diverged for core {i}"
-            );
-            assert_eq!(legacy.cores[i].ipc(), engine.ipc(i));
-            assert_eq!(legacy.cores[i].retired_instructions(), engine.retired_instructions(i));
+            let core = &reference.cores()[i];
+            assert_eq!(core.stats(), &engine.stats(i), "final stats diverged for core {i}");
+            assert_eq!(core.ipc(), engine.ipc(i));
+            assert_eq!(core.retired_instructions(), engine.retired_instructions(i));
         }
     }
 
@@ -795,8 +772,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Randomized traces × stall patterns: the SoA engine and the legacy
-        /// per-object cores must be bit-identical, including the hard-stall
+        /// Randomized traces × stall patterns: the SoA engine and the
+        /// per-object reference cores must be bit-identical, including the hard-stall
         /// debt replay and the settle-at-cutoff edge.
         #[test]
         fn engine_is_bit_identical_to_core(

@@ -11,8 +11,8 @@
 //!   event epoch;
 //! * [`Core`] — the per-object reference model of one 4-wide,
 //!   128-entry-window trace-driven core (Table 1) whose in-order retirement
-//!   makes DRAM latency visible as lost IPC; `CoreEngine` is differentially
-//!   tested against it;
+//!   makes DRAM latency visible as lost IPC; [`ReferenceCores`] drives one
+//!   per thread, and `CoreEngine` is differentially tested against it;
 //! * [`LastLevelCache`] — the shared 8 MiB LLC with MSHRs (cache-miss
 //!   buffers) and **per-thread MSHR quotas**, the actuator BreakHammer uses to
 //!   throttle suspect threads.
@@ -58,8 +58,6 @@ pub use cache::{
     AccessOutcome, CacheConfig, CacheStats, LastLevelCache, MissToken, OutgoingRequest,
     RejectReason,
 };
-pub use core::{
-    settle_legacy, tick_epoch_legacy, Core, CoreConfig, CoreProgress, CoreStats, StallInfo,
-};
+pub use core::{Core, CoreConfig, CoreProgress, CoreStats, ReferenceCores, StallInfo};
 pub use engine::CoreEngine;
 pub use trace::{CompiledTrace, Trace, TraceEntry};

@@ -1,4 +1,11 @@
 //! Full-system configuration (Table 1 + Table 2 of the paper).
+//!
+//! Every field describes the simulated machine. How the host steps that
+//! machine is not configurable: [`System::run`](crate::System::run) is the
+//! only production path, and its per-cycle oracle
+//! [`System::run_reference`](crate::System::run_reference) is a separate
+//! entry point, so the configuration (and every campaign cell id derived
+//! from its `Debug` form) carries no result-invariant knob.
 
 use bh_core::BreakHammerConfig;
 use bh_cpu::{CacheConfig, CoreConfig};
@@ -7,54 +14,16 @@ use bh_mem::MemControllerConfig;
 use bh_mitigation::MechanismKind;
 use serde::{Deserialize, Serialize};
 
-/// Which kernel drives the simulation clock in [`crate::System::run`].
-///
-/// Both kernels produce bit-identical [`crate::SimulationResult`]s; the
-/// per-cycle kernel is retained as the executable reference model for
-/// differential testing of the event-driven one (see
-/// `tests/scheduler_differential.rs` at the workspace root).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// Reference kernel: tick every layer at every DRAM command-clock cycle.
-    PerCycle,
-    /// Event-driven kernel: jump the clock to the next cycle at which any
-    /// layer can make progress (a queued DRAM command becoming issuable, a
-    /// refresh deadline, an LLC fill completing, a core's window head
-    /// becoming ready, a BreakHammer window edge), replaying the skipped
-    /// cycles' counter increments in bulk.
-    #[default]
-    EventDriven,
-}
-
-/// Which CPU front-end replays the instruction traces in
-/// [`crate::System::run`].
-///
-/// Both front-ends produce bit-identical [`crate::SimulationResult`]s; the
-/// per-object model is retained as the executable reference for differential
-/// testing of the data-oriented engine (see
-/// `tests/front_end_differential.rs` at the workspace root and the
-/// differential proptest in `bh_cpu::engine`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FrontEndKind {
-    /// Reference model: one heap-allocated `Core` object per hardware
-    /// thread, ticked through its own `VecDeque` instruction window.
-    Legacy,
-    /// Data-oriented engine (`bh_cpu::CoreEngine`): every core's hot replay
-    /// state in flat structure-of-arrays vectors, stepped in one pass per
-    /// event epoch with the cores' LLC accesses drained in core-index order.
-    #[default]
-    Engine,
-}
-
 /// Forward-progress watchdog: detects livelocked runs deterministically, in
 /// simulated time only (no wall clock anywhere in the sim crates).
 ///
 /// The watchdog samples global progress — instructions retired plus DRAM
-/// demand requests served — at fixed DRAM-cycle epoch boundaries. Both
-/// kernels step at each boundary (event horizons are clamped there;
-/// undershooting a horizon is always behaviour-neutral), so the samples, the
-/// verdict and the [`LivelockReport`](crate::LivelockReport) are
-/// bit-identical across kernels and front-ends.
+/// demand requests served — at fixed DRAM-cycle epoch boundaries.
+/// [`System::run`](crate::System::run) steps at each boundary (event horizons
+/// are clamped there; undershooting a horizon is always behaviour-neutral),
+/// so the samples, the verdict and the
+/// [`LivelockReport`](crate::LivelockReport) are bit-identical to those of
+/// the per-cycle [`System::run_reference`](crate::System::run_reference).
 ///
 /// [`WatchdogConfig::stall_epochs`] consecutive epochs with zero progress —
 /// or the same number of consecutive identical state digests (queue depths,
@@ -158,14 +127,6 @@ pub struct SystemConfig {
     pub max_dram_cycles: u64,
     /// Seed for the probabilistic mechanisms (PARA).
     pub seed: u64,
-    /// The simulation kernel driving the clock (results are identical for
-    /// both; see [`SchedulerKind`]).
-    #[serde(default)]
-    pub scheduler: SchedulerKind,
-    /// The CPU front-end replaying the traces (results are identical for
-    /// both; see [`FrontEndKind`]).
-    #[serde(default)]
-    pub front_end: FrontEndKind,
     /// Fault-injection model: how disturbance-threshold crossings turn into
     /// bit-flips, and the ECC scheme classifying them. The default (hard
     /// threshold, no ECC) is bit-identical to the pre-fault-model simulator.
@@ -225,8 +186,6 @@ impl SystemConfig {
             instructions_per_core: 1_000_000,
             max_dram_cycles: 2_000_000_000,
             seed: 0,
-            scheduler: SchedulerKind::default(),
-            front_end: FrontEndKind::default(),
             fault: FaultConfig::default(),
             watchdog: WatchdogConfig::default(),
             chaos: ChaosConfig::default(),
@@ -263,8 +222,6 @@ impl SystemConfig {
             instructions_per_core: 30_000,
             max_dram_cycles: 5_000_000,
             seed: 0,
-            scheduler: SchedulerKind::default(),
-            front_end: FrontEndKind::default(),
             fault: FaultConfig::default(),
             watchdog: WatchdogConfig::default(),
             chaos: ChaosConfig::default(),

@@ -9,7 +9,8 @@
 //!
 //! * [`SystemConfig`] — the composite configuration (Table 1 / Table 2);
 //! * [`System`] — the wired system; [`System::run`] produces a
-//!   [`SimulationResult`];
+//!   [`SimulationResult`] (the per-cycle [`System::run_reference`] is the
+//!   differential suites' oracle, never a production path);
 //! * [`Evaluator`] — runs workload mixes and computes the paper's metrics
 //!   (weighted speedup of benign applications, maximum slowdown, DRAM energy,
 //!   preventive-action counts).
@@ -43,7 +44,7 @@ pub mod runner;
 pub mod system;
 pub mod watchdog;
 
-pub use config::{ChaosConfig, FrontEndKind, SchedulerKind, SystemConfig, WatchdogConfig};
+pub use config::{ChaosConfig, SystemConfig, WatchdogConfig};
 pub use result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,

@@ -70,7 +70,8 @@ pub struct AttackOutcome {
 /// are produced by the forward-progress watchdog
 /// ([`WatchdogConfig`](crate::WatchdogConfig)). The verdict is computed at
 /// deterministic DRAM-cycle epoch boundaries from step-invariant state only,
-/// so it is bit-identical across both scheduler kernels and both front-ends.
+/// so it is bit-identical between [`System::run`](crate::System::run) and its
+/// per-cycle oracle [`System::run_reference`](crate::System::run_reference).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TerminationReason {
     /// Every required core retired its instruction budget.
@@ -137,8 +138,8 @@ pub struct ChannelLaneState {
 /// throttling machinery looked like at the detection boundary.
 ///
 /// Built exclusively from step-invariant state at a deterministic epoch
-/// boundary, so the report — like the verdict — is bit-identical across
-/// kernels and front-ends.
+/// boundary, so the report — like the verdict — is bit-identical between
+/// `System::run` and `System::run_reference`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LivelockReport {
     /// DRAM cycle of the epoch boundary where the verdict fired.
@@ -235,8 +236,9 @@ pub struct VictimReport {
 
 /// Everything measured during one simulation run.
 ///
-/// Implements `PartialEq` so the differential test suite can assert that the
-/// per-cycle and event-driven kernels produce bit-identical results.
+/// Implements `PartialEq` so the differential test suite can assert that
+/// `System::run` and its per-cycle oracle `System::run_reference` produce
+/// bit-identical results.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulationResult {
     /// Per-core performance.
@@ -274,7 +276,7 @@ pub struct SimulationResult {
     #[serde(default)]
     pub outcome: AttackOutcome,
     /// Why the run stopped. Part of the behavioural surface (bit-identical
-    /// across kernels and front-ends) but *not* of the digest-pinned
+    /// between `System::run` and `System::run_reference`) but *not* of the digest-pinned
     /// field list: the watchdog never fires on healthy runs, so pinned
     /// goldens stay byte-identical.
     #[serde(default)]

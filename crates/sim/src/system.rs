@@ -6,17 +6,20 @@
 //! and are ticked `cpu_freq / dram_freq` times per memory cycle using a
 //! fractional accumulator, matching Table 1's 4.2 GHz cores over DDR5-4800.
 //!
-//! Two interchangeable kernels drive the clock (selected by
-//! [`SchedulerKind`]): the reference per-cycle kernel executes the loop body
-//! at every DRAM cycle, while the event-driven kernel asks each layer for its
-//! next-event horizon — the memory controller's earliest issuable command,
-//! the earliest pending LLC fill, each core's stall wake-up, BreakHammer's
-//! next window edge — and jumps the clock straight to the minimum, replaying
-//! the skipped cycles' counter increments in bulk. The two kernels produce
-//! bit-identical [`SimulationResult`]s; `tests/scheduler_differential.rs`
-//! enforces this differentially.
+//! [`System::run`] is the only production path: an event-driven kernel over
+//! the data-oriented [`CoreEngine`]. It asks each layer for its next-event
+//! horizon — the memory controller's earliest issuable command, the earliest
+//! pending LLC fill, each core's stall wake-up, BreakHammer's next window
+//! edge — and jumps the clock straight to the minimum, replaying the skipped
+//! cycles' counter increments in bulk.
+//!
+//! [`System::run_reference`] is its oracle, the most naive model of the same
+//! machine: it steps every DRAM cycle and replays the traces through
+//! per-object [`Core`](bh_cpu::Core)s ([`ReferenceCores`]). The two produce
+//! bit-identical [`SimulationResult`]s; `tests/scheduler_differential.rs` and
+//! `tests/front_end_differential.rs` enforce this differentially. Nothing in production selects the oracle.
 
-use crate::config::{FrontEndKind, SchedulerKind, SystemConfig};
+use crate::config::SystemConfig;
 use crate::result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,
@@ -24,8 +27,8 @@ use crate::result::{
 use crate::watchdog::{ProgressSample, StateDigest, Watchdog};
 use bh_core::BreakHammer;
 use bh_cpu::{
-    CompiledTrace, Core, CoreConfig, CoreEngine, CoreProgress, CoreStats, LastLevelCache,
-    MissToken, StallInfo, Trace,
+    CompiledTrace, CoreEngine, CoreProgress, CoreStats, LastLevelCache, ReferenceCores, StallInfo,
+    Trace,
 };
 use bh_dram::{
     classify_flips, Cycle, DramChannel, RowAddr, RowHammerTracker, SuccessCriterion, ThreadId,
@@ -35,7 +38,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 /// The CPU/DRAM clock-domain crossing: a fractional accumulator that hands
-/// out the CPU-cycle values to tick for each DRAM cycle. Both kernels drive
+/// out the CPU-cycle values to tick for each DRAM cycle. Both loops drive
 /// the same accumulator arithmetic, so their clock-domain behaviour is
 /// identical by construction.
 #[derive(Debug, Clone)]
@@ -95,131 +98,84 @@ impl CpuClock {
     }
 }
 
-/// The CPU front-end of a [`System`]: either the per-object reference model
-/// (one [`Core`] per thread, plus the kernel-side hard-stall bookkeeping it
-/// needs) or the data-oriented [`CoreEngine`], selected by
-/// [`FrontEndKind`]. Both expose the same epoch/progress/absorb surface to
-/// the simulation loop and produce bit-identical results
-/// (`tests/front_end_differential.rs`).
+/// The CPU front-end of a [`System`]: the data-oriented [`CoreEngine`] that
+/// [`System::run`] steps, or the per-object [`ReferenceCores`] that
+/// [`System::run_reference`] swaps in before its first step. The arms cover
+/// only the calls both loops make; the stall analysis and bulk replay behind
+/// cycle skipping are engine-only (see [`FrontEnd::engine`]).
 #[derive(Debug)]
 enum FrontEnd {
-    /// Reference model, driven exactly as the pre-engine kernel drove its
-    /// `Vec<Core>`: hard-stalled cores (window full behind an incomplete
-    /// miss) are not ticked — their cycles accrue as debt and replay in bulk
-    /// when the miss completes.
-    Legacy { cores: Vec<Core>, stalled_on: Vec<Option<MissToken>>, stall_debt: Vec<u64> },
-    /// The SoA engine (owns its hard-stall bookkeeping internally; boxed so
-    /// the enum's two variants are size-balanced).
+    /// The SoA engine (boxed so the two variants are size-balanced).
     Engine(Box<CoreEngine>),
+    /// The per-object reference model.
+    Reference(ReferenceCores),
 }
 
 impl FrontEnd {
-    fn new(kind: FrontEndKind, config: CoreConfig, traces: &[CompiledTrace], target: u64) -> Self {
-        match kind {
-            FrontEndKind::Legacy => {
-                let cores: Vec<Core> = traces
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| Core::new(ThreadId(i), config, t.to_trace(), target))
-                    .collect();
-                let n = cores.len();
-                FrontEnd::Legacy { cores, stalled_on: vec![None; n], stall_debt: vec![0; n] }
-            }
-            FrontEndKind::Engine => {
-                FrontEnd::Engine(Box::new(CoreEngine::new(config, traces.to_vec(), target)))
-            }
+    /// The engine. Everything that skips cycles — the horizon scan and the
+    /// bulk replay — runs only in [`System::run`], where the front-end is
+    /// always the engine; [`System::run_reference`] also reads the engine's
+    /// traces before swapping it out.
+    fn engine(&self) -> &CoreEngine {
+        match self {
+            FrontEnd::Engine(engine) => engine,
+            FrontEnd::Reference(_) => unreachable!("the reference loop never skips cycles"),
+        }
+    }
+
+    fn engine_mut(&mut self) -> &mut CoreEngine {
+        match self {
+            FrontEnd::Engine(engine) => engine,
+            FrontEnd::Reference(_) => unreachable!("the reference loop never skips cycles"),
         }
     }
 
     fn finished(&self, core: usize) -> bool {
         match self {
-            FrontEnd::Legacy { cores, .. } => cores[core].finished(),
             FrontEnd::Engine(engine) => engine.finished(core),
+            FrontEnd::Reference(cores) => cores.cores()[core].finished(),
         }
     }
 
     fn retired_instructions(&self, core: usize) -> u64 {
         match self {
-            FrontEnd::Legacy { cores, .. } => cores[core].retired_instructions(),
             FrontEnd::Engine(engine) => engine.retired_instructions(core),
+            FrontEnd::Reference(cores) => cores.cores()[core].retired_instructions(),
         }
     }
 
     /// True while `core` is hard-stalled on an incomplete miss. The two arms
-    /// are pinned equal by the engine's differential proptest
-    /// (`legacy.stalled_on[i].is_some() == engine.is_hard_stalled(i)`), so
-    /// the watchdog state digest built from this flag is front-end-invariant.
+    /// are pinned equal by the engine's differential proptest, so the
+    /// watchdog state digest built from this flag is the same in both loops.
     fn is_hard_stalled(&self, core: usize) -> bool {
         match self {
-            FrontEnd::Legacy { stalled_on, .. } => stalled_on[core].is_some(),
             FrontEnd::Engine(engine) => engine.is_hard_stalled(core),
+            FrontEnd::Reference(cores) => cores.is_hard_stalled(core),
         }
     }
 
     /// Steps every core through the CPU cycles of one epoch, in core-index
     /// order within each cycle (see `CoreEngine::tick_epoch` for the batch
-    /// contract; the legacy arm is the shared `bh_cpu::tick_epoch_legacy`
-    /// driver that contract mirrors — the same driver the engine's
-    /// differential tests run against).
+    /// contract `ReferenceCores::tick_epoch` shares).
     fn tick_epoch(&mut self, cycles: Range<Cycle>, llc: &mut LastLevelCache) {
         match self {
-            FrontEnd::Legacy { cores, stalled_on, stall_debt } => {
-                bh_cpu::tick_epoch_legacy(cores, stalled_on, stall_debt, cycles, llc);
-            }
             FrontEnd::Engine(engine) => engine.tick_epoch(cycles, llc),
-        }
-    }
-
-    /// Classifies every core for the horizon scan: returns `true` as soon as
-    /// any core is `Active` (leaving `buf` empty — the kernel steps the very
-    /// next cycle and never reads it), otherwise fills `buf` with each
-    /// core's classification. The engine arm prefilters on the packed
-    /// window heads; the legacy arm is the per-core loop the kernels
-    /// historically ran.
-    fn progress_batch(
-        &self,
-        llc: &LastLevelCache,
-        next_cycle: Cycle,
-        buf: &mut Vec<CoreProgress>,
-    ) -> bool {
-        match self {
-            FrontEnd::Legacy { cores, .. } => {
-                buf.clear();
-                for core in cores {
-                    let p = core.progress(llc, next_cycle);
-                    if matches!(p, CoreProgress::Active) {
-                        buf.clear();
-                        return true;
-                    }
-                    buf.push(p);
-                }
-                false
-            }
-            FrontEnd::Engine(engine) => engine.progress_batch(llc, next_cycle, buf),
-        }
-    }
-
-    fn absorb_stall_ticks(&mut self, core: usize, ticks: u64, stall: &StallInfo) {
-        match self {
-            FrontEnd::Legacy { cores, .. } => cores[core].absorb_stall_ticks(ticks, stall),
-            FrontEnd::Engine(engine) => engine.absorb_stall_ticks(core, ticks, stall),
+            FrontEnd::Reference(cores) => cores.tick_epoch(cycles, llc),
         }
     }
 
     /// Folds outstanding hard-stall debt into the counters (end of run).
     fn settle(&mut self) {
         match self {
-            FrontEnd::Legacy { cores, stall_debt, .. } => {
-                bh_cpu::settle_legacy(cores, stall_debt);
-            }
             FrontEnd::Engine(engine) => engine.settle(),
+            FrontEnd::Reference(cores) => cores.settle(),
         }
     }
 
     fn stats(&self, core: usize) -> CoreStats {
         match self {
-            FrontEnd::Legacy { cores, .. } => cores[core].stats().clone(),
             FrontEnd::Engine(engine) => engine.stats(core),
+            FrontEnd::Reference(cores) => cores.cores()[core].stats().clone(),
         }
     }
 
@@ -276,7 +232,7 @@ pub struct System {
     /// workload's victim layout).
     success_criterion: SuccessCriterion,
     /// Forward-progress watchdog, observed at fixed DRAM-cycle epoch
-    /// boundaries by every kernel (see [`crate::WatchdogConfig`]).
+    /// boundaries by both loops (see [`crate::WatchdogConfig`]).
     watchdog: Watchdog,
     /// The watchdog's verdict when it fired (`None` on healthy runs).
     verdict: Option<TerminationReason>,
@@ -372,8 +328,11 @@ impl System {
         let memory = MemorySystem::new(config.memctrl.clone(), instances, breakhammer);
 
         let llc = LastLevelCache::new(config.cache.clone(), config.cores);
-        let front =
-            FrontEnd::new(config.front_end, config.core, traces, config.instructions_per_core);
+        let front = FrontEnd::Engine(Box::new(CoreEngine::new(
+            config.core,
+            traces.to_vec(),
+            config.instructions_per_core,
+        )));
 
         // The auto-derived watchdog epoch must span BreakHammer's window (a
         // quota-starved thread legitimately waits out a rotation for its
@@ -443,17 +402,17 @@ impl System {
         self.required.iter().all(|i| self.front.finished(*i))
     }
 
-    /// Watchdog observation at the top of every kernel iteration. Returns
+    /// Watchdog observation at the top of every loop iteration. Returns
     /// `true` — after recording the verdict and, for livelocks, the
     /// diagnostic snapshot — when the run must stop now. A no-op (one integer
-    /// compare) away from epoch boundaries, so the per-cycle kernel can
-    /// afford to call it every cycle.
+    /// compare) away from epoch boundaries, so the reference loop can afford
+    /// to call it every cycle.
     ///
-    /// Every kernel reaches each boundary cycle as a step cycle (event
-    /// horizons are clamped to [`Watchdog::horizon_cap`]; undershooting a
-    /// horizon is behaviour-neutral by the kernels' equivalence contract),
-    /// and the sample reads step-invariant state only, so the verdict and
-    /// snapshot are bit-identical across kernels and front-ends.
+    /// Both loops reach each boundary cycle as a step cycle (event horizons
+    /// are clamped to [`Watchdog::horizon_cap`]; undershooting a horizon is
+    /// behaviour-neutral by the loops' equivalence contract), and the sample
+    /// reads step-invariant state only, so the verdict and snapshot are
+    /// bit-identical between [`System::run`] and [`System::run_reference`].
     fn watchdog_fires(&mut self, dram_cycle: Cycle) -> bool {
         if !self.watchdog.due(dram_cycle) {
             return false;
@@ -566,35 +525,11 @@ impl System {
 
     /// Runs the simulation to completion and returns the measured results.
     ///
-    /// Dispatches to the kernel selected by
-    /// [`SystemConfig::scheduler`](crate::SystemConfig); both kernels produce
-    /// bit-identical results.
-    pub fn run(self) -> SimulationResult {
-        match self.config.scheduler {
-            SchedulerKind::PerCycle => self.run_per_cycle(),
-            SchedulerKind::EventDriven => self.run_event_driven(),
-        }
-    }
-
-    /// The reference kernel: executes [`System::step`] at every DRAM cycle.
-    fn run_per_cycle(mut self) -> SimulationResult {
-        let mut clock = CpuClock::new(self.config.cpu_cycles_per_dram_cycle());
-        let mut dram_cycle: Cycle = 0;
-        while !self.required_finished() && dram_cycle < self.config.max_dram_cycles {
-            if self.watchdog_fires(dram_cycle) {
-                break;
-            }
-            self.step(dram_cycle, &mut clock);
-            dram_cycle += 1;
-        }
-        self.finish(dram_cycle)
-    }
-
-    /// The event-driven kernel: executes [`System::step`] only at cycles
+    /// The event-driven kernel: executes one simulation step only at cycles
     /// where some layer can make progress, and fast-forwards across the dead
     /// cycles in between, replaying their counter increments in bulk so the
-    /// results stay bit-identical to [`System::run_per_cycle`].
-    fn run_event_driven(mut self) -> SimulationResult {
+    /// results stay bit-identical to [`System::run_reference`].
+    pub fn run(mut self) -> SimulationResult {
         let mut clock = CpuClock::new(self.config.cpu_cycles_per_dram_cycle());
         let max = self.config.max_dram_cycles;
         let mut dram_cycle: Cycle = 0;
@@ -610,7 +545,7 @@ impl System {
             let next = self.next_event(dram_cycle, &clock);
             // Clamp to the next watchdog epoch boundary so this kernel steps
             // there too (undershooting a horizon is only wasted work, never a
-            // behaviour change — the per-cycle kernel steps every cycle).
+            // behaviour change — the reference loop steps every cycle).
             let next = next.clamp(dram_cycle + 1, max).min(self.watchdog.horizon_cap());
             if next > dram_cycle + 1 {
                 self.skip_dead_cycles(next - dram_cycle - 1, &mut clock);
@@ -620,8 +555,33 @@ impl System {
         self.finish(dram_cycle)
     }
 
+    /// The differential oracle for [`System::run`]: the most naive model of
+    /// the same machine. It replays the traces through per-object
+    /// [`ReferenceCores`] (built from the same compiled traces before the
+    /// first step) and executes one simulation step at every DRAM cycle, so
+    /// nothing is skipped. Results are bit-identical to [`System::run`], at
+    /// a multiple of its cost; production code never calls it.
+    pub fn run_reference(mut self) -> SimulationResult {
+        let cores = ReferenceCores::new(
+            self.config.core,
+            self.front.engine().traces(),
+            self.config.instructions_per_core,
+        );
+        self.front = FrontEnd::Reference(cores);
+        let mut clock = CpuClock::new(self.config.cpu_cycles_per_dram_cycle());
+        let mut dram_cycle: Cycle = 0;
+        while !self.required_finished() && dram_cycle < self.config.max_dram_cycles {
+            if self.watchdog_fires(dram_cycle) {
+                break;
+            }
+            self.step(dram_cycle, &mut clock);
+            dram_cycle += 1;
+        }
+        self.finish(dram_cycle)
+    }
+
     /// One iteration of the simulation loop at `dram_cycle` — identical for
-    /// both kernels.
+    /// [`System::run`] and [`System::run_reference`].
     fn step(&mut self, dram_cycle: Cycle, clock: &mut CpuClock) {
         self.step_inner_quota(dram_cycle);
         self.step_inner_ctrl(dram_cycle);
@@ -779,7 +739,7 @@ impl System {
         }
 
         let next_cpu = clock.next_cpu_cycle();
-        if self.front.progress_batch(&self.llc, next_cpu, &mut self.progress_buf) {
+        if self.front.engine().progress_batch(&self.llc, next_cpu, &mut self.progress_buf) {
             return dram_cycle + 1;
         }
         for p in &self.progress_buf {
@@ -798,7 +758,7 @@ impl System {
 
     /// Fast-forwards across `dead_cycles` DRAM cycles in which, by
     /// construction of [`System::next_event`], every layer is quiescent:
-    /// replays exactly the counter increments the per-cycle kernel would
+    /// replays exactly the counter increments the reference loop would
     /// have accrued (stalled-core cycle/stall counters, rejected LLC access
     /// probes, failed enqueue retries) without touching any other state.
     fn skip_dead_cycles(&mut self, dead_cycles: u64, clock: &mut CpuClock) {
@@ -806,7 +766,7 @@ impl System {
         if cpu_ticks > 0 {
             for (core, p) in self.progress_buf.iter().enumerate() {
                 if let CoreProgress::Stalled(stall) = p {
-                    self.front.absorb_stall_ticks(core, cpu_ticks, stall);
+                    self.front.engine_mut().absorb_stall_ticks(core, cpu_ticks, stall);
                     if let Some(reason) = stall.reject {
                         self.llc.absorb_rejected_probes(cpu_ticks, reason);
                     }

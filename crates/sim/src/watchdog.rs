@@ -1,12 +1,12 @@
 //! Deterministic forward-progress watchdog.
 //!
-//! [`Watchdog`] is a pure state machine over *simulated* time: the kernels in
-//! [`crate::System::run`] feed it one [`ProgressSample`] per epoch boundary
+//! [`Watchdog`] is a pure state machine over *simulated* time: both
+//! [`crate::System::run`] and [`crate::System::run_reference`] feed it one [`ProgressSample`] per epoch boundary
 //! (a fixed DRAM-cycle grid), and it answers with a [`Verdict`] when the run
 //! is provably stuck or over budget. No wall clock is involved anywhere —
 //! the bh_analyze D2 rule (no `Instant`/`SystemTime` in sim crates) holds —
 //! so the verdict is a deterministic function of the simulated schedule and
-//! is bit-identical across kernels and front-ends.
+//! is bit-identical between the two loops.
 //!
 //! Two detectors run side by side:
 //!

@@ -1,19 +1,40 @@
 //! Shared workload recipe for the cross-checking integration suites.
 //!
-//! The scheduler-differential, digest-snapshot and multichannel suites all
-//! exercise *the same* canonical workload: four benign streaming-dominated
-//! cores shrunk onto the test geometry, with the paper-default attacker on
-//! core 3. Keeping the recipe in one place guarantees "the same workload"
+//! The kernel and front-end differential, digest-snapshot and multichannel
+//! suites all exercise *the same* canonical workload: four benign
+//! streaming-dominated cores shrunk onto the test geometry, with the
+//! paper-default attacker on core 3. Keeping the recipe in one place guarantees "the same workload"
 //! stays the same across the suites — a divergence here would otherwise be
 //! hunted in the simulator instead of the test setup.
 
 #![allow(dead_code)] // each test binary uses the subset it needs
 
 use breakhammer_suite::cpu::Trace;
-use breakhammer_suite::sim::SystemConfig;
+use breakhammer_suite::sim::{SimulationResult, System, SystemConfig};
 use breakhammer_suite::workloads::{
     AttackerProfile, BenignProfile, ComposedAttacker, TraceGenerator,
 };
+
+/// One way to run a system to completion.
+pub type RunFn = fn(System) -> SimulationResult;
+
+/// Both ways to run a system, labelled as in the golden digest files: the
+/// per-cycle oracle `System::run_reference` and the production event-driven
+/// `System::run`.
+pub const LOOPS: [(&str, RunFn); 2] =
+    [("per_cycle", System::run_reference), ("event_driven", System::run)];
+
+/// Runs `config` through the oracle and the production path and returns
+/// (reference, production).
+pub fn run_both(
+    config: SystemConfig,
+    traces: &[Trace],
+    required: Vec<usize>,
+) -> (SimulationResult, SimulationResult) {
+    let reference = System::new(config.clone(), traces, required.clone()).run_reference();
+    let production = System::new(config, traces, required).run();
+    (reference, production)
+}
 
 /// The canonical benign quartet: streaming-dominated profiles that rarely
 /// trigger preventive actions at moderate N_RH (the paper's premise in

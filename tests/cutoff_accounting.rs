@@ -7,14 +7,16 @@
 //! were missing, a core cut off mid-stall would under-report its cycles and
 //! per-core cycle totals would no longer sum to the simulated horizon.
 //! These tests force a cutoff in the middle of a hard stall and pin the
-//! invariant on both kernels.
+//! invariant on `System::run` and on its per-cycle oracle
+//! `System::run_reference`.
 
 use breakhammer_suite::cpu::Trace;
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{
-    SchedulerKind, SimulationResult, System, SystemConfig, TerminationReason,
-};
+use breakhammer_suite::sim::{SimulationResult, System, SystemConfig, TerminationReason};
 use breakhammer_suite::workloads::AttackerProfile;
+
+mod common;
+use common::{run_both, RunFn, LOOPS};
 
 /// CPU ticks the simulator's clock-domain crossing performs over
 /// `dram_cycles` DRAM cycles — the same fractional-accumulator arithmetic,
@@ -35,12 +37,11 @@ fn cpu_ticks(dram_cycles: u64, ratio: f64) -> u64 {
 /// Four copies of the tight uncached hammering loop: every core's window
 /// fills up behind outstanding misses almost immediately and stays full, so
 /// the `max_dram_cycles` cutoff is guaranteed to land mid-hard-stall.
-fn stall_heavy_config(kernel: SchedulerKind) -> (SystemConfig, Vec<Trace>) {
+fn stall_heavy_config() -> (SystemConfig, Vec<Trace>) {
     let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, false);
     config.instructions_per_core = 500_000; // far more than the cutoff allows
     config.max_dram_cycles = 25_000;
     config.cache.mshrs = 4; // tiny MSHR pool: misses back up into hard stalls
-    config.scheduler = kernel;
     let attacker = AttackerProfile::paper_default();
     let traces = (0..4)
         .map(|i| attacker.trace(&config.geometry, config.memctrl.mapping, 2_000, 900 + i as u64))
@@ -48,10 +49,13 @@ fn stall_heavy_config(kernel: SchedulerKind) -> (SystemConfig, Vec<Trace>) {
     (config, traces)
 }
 
-fn run(kernel: SchedulerKind) -> (SimulationResult, f64) {
-    let (config, traces) = stall_heavy_config(kernel);
+/// Runs the stall-heavy scenario through `run` (`System::run` or
+/// `System::run_reference`), returning the result and the CPU/DRAM clock
+/// ratio.
+fn run_stall_heavy(run: RunFn) -> (SimulationResult, f64) {
+    let (config, traces) = stall_heavy_config();
     let ratio = config.cpu_cycles_per_dram_cycle();
-    (System::new(config, &traces, vec![0, 1, 2, 3]).run(), ratio)
+    (run(System::new(config, &traces, vec![0, 1, 2, 3])), ratio)
 }
 
 /// The invariant: at the cutoff, every unfinished core's cycle counter must
@@ -60,34 +64,34 @@ fn run(kernel: SchedulerKind) -> (SimulationResult, f64) {
 /// short.
 #[test]
 fn cutoff_mid_stall_flushes_all_stall_debt_into_the_cores() {
-    for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-        let (result, ratio) = run(kernel);
-        assert_eq!(result.dram_cycles, 25_000, "{kernel:?}: the run must hit the cutoff");
+    for (kernel, run) in LOOPS {
+        let (result, ratio) = run_stall_heavy(run);
+        assert_eq!(result.dram_cycles, 25_000, "{kernel}: the run must hit the cutoff");
         // The default-on watchdog must see the reads trickling through and
         // leave the cutoff classified as a cutoff, not a livelock.
-        assert_eq!(result.termination, TerminationReason::CycleCutoff, "{kernel:?}");
+        assert_eq!(result.termination, TerminationReason::CycleCutoff, "{kernel}");
         let expected = cpu_ticks(result.dram_cycles, ratio);
         for core in &result.cores {
-            assert!(!core.finished, "{kernel:?}: the cutoff must land before completion");
+            assert!(!core.finished, "{kernel}: the cutoff must land before completion");
             assert_eq!(
                 core.cycles, expected,
-                "{kernel:?}: core {:?} cycles must cover the whole horizon (stall debt flushed)",
+                "{kernel}: core {:?} cycles must cover the whole horizon (stall debt flushed)",
                 core.thread
             );
         }
         // The scenario really did cut off inside memory stalls, not idling.
         let stalled: u64 = result.cores.iter().map(|c| c.instructions).sum();
         assert!(stalled < 4 * 500_000, "no core may complete its budget");
-        assert!(result.cache.mshr_full_rejections > 0, "{kernel:?}: misses must have backed up");
+        assert!(result.cache.mshr_full_rejections > 0, "{kernel}: misses must have backed up");
     }
 }
 
-/// Both kernels must agree on the cut-off state bit for bit (the event-driven
-/// kernel fast-forwards through the stalled tail, the per-cycle kernel grinds
+/// Both loops must agree on the cut-off state bit for bit (the event-driven
+/// kernel fast-forwards through the stalled tail, the per-cycle oracle grinds
 /// through it — the flushed totals must be identical).
 #[test]
 fn cutoff_mid_stall_is_identical_across_kernels() {
-    let (reference, _) = run(SchedulerKind::PerCycle);
-    let (event_driven, _) = run(SchedulerKind::EventDriven);
+    let (config, traces) = stall_heavy_config();
+    let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2, 3]);
     assert_eq!(reference, event_driven);
 }

@@ -1,12 +1,16 @@
 //! Golden-digest harness for [`SimulationResult`]s.
 //!
 //! Runs the canonical 40-configuration matrix (10 mechanisms × ±BreakHammer ×
-//! both kernels, through the default data-oriented `CoreEngine` front-end)
-//! on the standard attack workload and folds every field that existed in the
-//! result as of the digest capture into a stable FNV-1a fingerprint. The digests are compared against `tests/digests.golden.txt`,
-//! which pins the simulator's observable behaviour across refactors: any
-//! change to scheduling, mitigation, throttling or accounting shows up as a
-//! digest mismatch even if both kernels still agree with each other.
+//! both loops) on the standard attack workload and folds every field that
+//! existed in the result as of the digest capture into a stable FNV-1a
+//! fingerprint. The `per_cycle` rows come from the oracle
+//! `System::run_reference` (every DRAM cycle, per-object cores) and the
+//! `event_driven` rows from the production `System::run` (event-driven
+//! kernel over `CoreEngine`). The digests are compared against
+//! `tests/digests.golden.txt`, which pins the simulator's observable
+//! behaviour across refactors: any change to scheduling, mitigation,
+//! throttling or accounting shows up as a digest mismatch even if the two
+//! loops still agree with each other.
 //!
 //! To regenerate the golden file after an *intentional* behaviour change:
 //!
@@ -18,10 +22,10 @@
 //! explanation of why the behaviour moved.
 
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{FrontEndKind, SchedulerKind, SimulationResult, System, SystemConfig};
+use breakhammer_suite::sim::{SimulationResult, System, SystemConfig};
 
 mod common;
-use common::{attack_traces, attack_traces_composed};
+use common::{attack_traces, attack_traces_composed, LOOPS};
 
 /// FNV-1a, the digest accumulator. Stable across platforms and releases.
 struct Digest(u64);
@@ -150,33 +154,22 @@ const MECHANISMS: [MechanismKind; 10] = [
     MechanismKind::BlockHammer,
 ];
 
-fn config_for(mechanism: MechanismKind, breakhammer: bool, kernel: SchedulerKind) -> SystemConfig {
+fn config_for(mechanism: MechanismKind, breakhammer: bool) -> SystemConfig {
     let mut config = SystemConfig::fast_test(mechanism, 128, breakhammer);
     config.instructions_per_core = 6_000;
-    config.scheduler = kernel;
     config
-}
-
-fn kernel_name(kernel: SchedulerKind) -> &'static str {
-    match kernel {
-        SchedulerKind::PerCycle => "per_cycle",
-        SchedulerKind::EventDriven => "event_driven",
-    }
 }
 
 fn run_matrix() -> Vec<(String, u64)> {
     let mut out = Vec::with_capacity(40);
     for mechanism in MECHANISMS {
         for breakhammer in [false, true] {
-            for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-                let config = config_for(mechanism, breakhammer, kernel);
+            for (kernel, run) in LOOPS {
+                let config = config_for(mechanism, breakhammer);
                 let traces = attack_traces(&config, 2_000, 100);
-                let result = System::new(config, &traces, vec![0, 1, 2]).run();
-                let label = format!(
-                    "{mechanism} {} {}",
-                    if breakhammer { "bh" } else { "nobh" },
-                    kernel_name(kernel)
-                );
+                let result = run(System::new(config, &traces, vec![0, 1, 2]));
+                let label =
+                    format!("{mechanism} {} {kernel}", if breakhammer { "bh" } else { "nobh" });
                 out.push((label, digest(&result)));
             }
         }
@@ -185,7 +178,7 @@ fn run_matrix() -> Vec<(String, u64)> {
 }
 
 /// The channels axis of the digest harness: per config and channel count,
-/// both kernels must produce the same digest. (The golden file itself pins
+/// both loops must produce the same digest. (The golden file itself pins
 /// channels = 1 — multi-channel goldens would churn with every intentional
 /// routing change, while cross-kernel equality is the invariant that must
 /// never move.)
@@ -196,46 +189,14 @@ fn multichannel_digests_agree_across_kernels() {
             [(MechanismKind::Graphene, true), (MechanismKind::Hydra, false)]
         {
             let mut digests = Vec::new();
-            for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-                let mut config = config_for(mechanism, breakhammer, kernel);
-                config.geometry = config.geometry.with_channels(channels);
+            for (_, run) in LOOPS {
+                let config = config_for(mechanism, breakhammer).with_channels(channels);
                 let traces = attack_traces(&config, 2_000, 100);
-                let result = System::new(config, &traces, vec![0, 1, 2]).run();
-                digests.push(digest(&result));
+                digests.push(digest(&run(System::new(config, &traces, vec![0, 1, 2]))));
             }
             assert_eq!(
                 digests[0], digests[1],
-                "kernel digests diverged for {mechanism} bh={breakhammer} x{channels}ch"
-            );
-        }
-    }
-}
-
-/// The front-end axis of the digest harness: per config and scheduler
-/// kernel, the data-oriented `CoreEngine` and the per-object legacy cores
-/// must produce the same digest. (The golden file itself is produced with
-/// the default front-end — the engine — so the golden test *is* the "goldens
-/// run through `CoreEngine` unchanged" check; this test pins the legacy
-/// reference model to the same behaviour.)
-#[test]
-fn front_end_digests_agree() {
-    for (mechanism, breakhammer) in
-        [(MechanismKind::Graphene, true), (MechanismKind::BlockHammer, false)]
-    {
-        for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-            let mut digests = Vec::new();
-            for front_end in [FrontEndKind::Legacy, FrontEndKind::Engine] {
-                let mut config = config_for(mechanism, breakhammer, kernel);
-                config.front_end = front_end;
-                let traces = attack_traces(&config, 2_000, 100);
-                let result = System::new(config, &traces, vec![0, 1, 2]).run();
-                digests.push(digest(&result));
-            }
-            assert_eq!(
-                digests[0],
-                digests[1],
-                "front-end digests diverged for {mechanism} bh={breakhammer} {}",
-                kernel_name(kernel)
+                "loop digests diverged for {mechanism} bh={breakhammer} x{channels}ch"
             );
         }
     }
@@ -261,33 +222,31 @@ fn digest_with_victims(result: &SimulationResult) -> u64 {
     d.0
 }
 
-/// Runs every catalog scenario (pattern × placement) under Graphene ±BH on
-/// both scheduler kernels, asserting cross-kernel digest equality and
-/// returning the per-kernel digest rows for the scenario golden file.
+/// Runs every catalog scenario (pattern × placement) under Graphene ±BH
+/// through both loops, asserting digest equality between them and returning
+/// the per-loop digest rows for the scenario golden file.
 fn run_scenario_matrix() -> Vec<(String, u64)> {
     use breakhammer_suite::workloads::scenario_catalog;
     let mut out = Vec::new();
     for scenario in scenario_catalog() {
         for breakhammer in [false, true] {
             let mut digests = Vec::new();
-            for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-                let config = config_for(MechanismKind::Graphene, breakhammer, kernel);
+            for (kernel, run) in LOOPS {
+                let config = config_for(MechanismKind::Graphene, breakhammer);
                 let traces = attack_traces_composed(&config, &scenario.attacker, 2_000, 100);
                 let victims = scenario.attacker.victim_rows(&config.geometry);
-                let result = System::new(config, &traces, vec![0, 1, 2])
-                    .watch_victims(victims.iter().map(|v| (v.channel, v.row)))
-                    .run();
+                let result = run(System::new(config, &traces, vec![0, 1, 2])
+                    .watch_victims(victims.iter().map(|v| (v.channel, v.row))));
                 let label = format!(
-                    "{} {} {}",
+                    "{} {} {kernel}",
                     scenario.name,
-                    if breakhammer { "bh" } else { "nobh" },
-                    kernel_name(kernel)
+                    if breakhammer { "bh" } else { "nobh" }
                 );
                 digests.push((label, digest_with_victims(&result)));
             }
             assert_eq!(
                 digests[0].1, digests[1].1,
-                "kernel digests diverged for scenario {} bh={breakhammer}",
+                "loop digests diverged for scenario {} bh={breakhammer}",
                 scenario.name
             );
             out.extend(digests);
@@ -317,11 +276,11 @@ fn digest_with_outcome(result: &SimulationResult) -> u64 {
     d.0
 }
 
-/// Runs a mechanism subset ±BreakHammer on both kernels under the
-/// probabilistic fault model with SEC-DED ECC, asserting cross-kernel digest
-/// equality and returning the rows for the fault golden file. The fold
+/// Runs a mechanism subset ±BreakHammer through both loops under the
+/// probabilistic fault model with SEC-DED ECC, asserting digest equality
+/// between them and returning the rows for the fault golden file. The fold
 /// includes the raw/corrected/detected/silent flip counters, so this matrix
-/// pins the *probabilistic* behaviour bit-exactly — across kernels and
+/// pins the *probabilistic* behaviour bit-exactly — across both loops and
 /// repeated runs.
 fn run_fault_matrix() -> Vec<(String, u64)> {
     use breakhammer_suite::dram::{EccMode, FaultConfig, FaultModel};
@@ -332,16 +291,15 @@ fn run_fault_matrix() -> Vec<(String, u64)> {
                 continue;
             }
             let mut digests = Vec::new();
-            for kernel in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
+            for (kernel, run) in LOOPS {
                 let mut config = SystemConfig::fast_test(mechanism, 64, breakhammer);
                 config.instructions_per_core = 6_000;
-                config.scheduler = kernel;
                 config.fault = FaultConfig {
                     model: FaultModel::Probabilistic { flip_probability: 0.7, nrh_variation: 0.2 },
                     ecc: EccMode::SecDed,
                 };
                 let traces = attack_traces(&config, 2_000, 100);
-                let result = System::new(config, &traces, vec![0, 1, 2]).run();
+                let result = run(System::new(config, &traces, vec![0, 1, 2]));
                 if mechanism == MechanismKind::None {
                     assert!(
                         result.outcome.flips_raw > 0,
@@ -349,15 +307,14 @@ fn run_fault_matrix() -> Vec<(String, u64)> {
                     );
                 }
                 let label = format!(
-                    "fault {mechanism} {} {}",
-                    if breakhammer { "bh" } else { "nobh" },
-                    kernel_name(kernel)
+                    "fault {mechanism} {} {kernel}",
+                    if breakhammer { "bh" } else { "nobh" }
                 );
                 digests.push((label, digest_with_outcome(&result)));
             }
             assert_eq!(
                 digests[0].1, digests[1].1,
-                "kernel digests diverged for fault matrix {mechanism} bh={breakhammer}"
+                "loop digests diverged for fault matrix {mechanism} bh={breakhammer}"
             );
             out.extend(digests);
         }
@@ -417,7 +374,7 @@ fn check_golden(path: &std::path::Path, digests: &[(String, u64)]) {
 }
 
 /// Every (pattern × placement) catalog scenario ±BreakHammer must match the
-/// committed scenario golden file on both kernels — and the kernels must
+/// committed scenario golden file through both loops — and the loops must
 /// agree with each other (asserted inside [`run_scenario_matrix`]).
 #[test]
 fn scenario_digests_match_golden_file() {
@@ -431,7 +388,7 @@ fn simulation_digests_match_golden_file() {
 }
 
 /// The probabilistic fault-model matrix must match its committed golden file
-/// on both kernels — pinning the flip draws and the SEC-DED classification
+/// through both loops — pinning the flip draws and the SEC-DED classification
 /// bit-exactly across sessions.
 #[test]
 fn fault_digests_match_golden_file() {

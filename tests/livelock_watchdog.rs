@@ -1,10 +1,10 @@
 //! The forward-progress watchdog, end to end: an injected no-progress run is
 //! classified [`TerminationReason::Livelock`] — not a hang, not a panic, not
 //! an `ok`-looking cutoff — with a [`LivelockReport`] snapshot, and the
-//! verdict is bit-identical across both scheduler kernels and both CPU
-//! front-ends. Healthy runs keep their historical outcomes (`Completed` /
-//! `CycleCutoff`) untouched, and the deterministic budgets cut runs with
-//! `BudgetExceeded` at exact epoch boundaries.
+//! verdict is bit-identical between `System::run` and its per-cycle oracle
+//! `System::run_reference`. Healthy runs keep their historical outcomes
+//! (`Completed` / `CycleCutoff`) untouched, and the deterministic budgets cut
+//! runs with `BudgetExceeded` at exact epoch boundaries.
 //!
 //! The injected livelock is `ChaosConfig::drop_fills_after`: from a given
 //! DRAM cycle, completed memory responses stop filling the LLC, so every
@@ -12,12 +12,10 @@
 //! kernel-invariant by construction.
 
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{
-    FrontEndKind, SchedulerKind, System, SystemConfig, TerminationReason,
-};
+use breakhammer_suite::sim::{System, SystemConfig, TerminationReason};
 
 mod common;
-use common::{attack_traces, benign_traces};
+use common::{attack_traces, benign_traces, LOOPS};
 
 /// A config whose run livelocks: fills dropped from cycle 1000 on, with a
 /// tight watchdog so the verdict lands quickly.
@@ -35,25 +33,19 @@ fn injected_no_progress_run_is_classified_livelock_across_the_whole_matrix() {
     let base = livelock_config();
     let traces = benign_traces(&base, 2_000, 7);
     let mut results = Vec::new();
-    for scheduler in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-        for front_end in [FrontEndKind::Legacy, FrontEndKind::Engine] {
-            let mut config = base.clone();
-            config.scheduler = scheduler;
-            config.front_end = front_end;
-            let label = format!("{scheduler:?}/{front_end:?}");
-            let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
-            assert_eq!(
-                result.termination,
-                TerminationReason::Livelock,
-                "{label}: {:?}",
-                result.termination
-            );
-            results.push((label, result));
-        }
+    for (label, run) in LOOPS {
+        let result = run(System::new(base.clone(), &traces, vec![0, 1, 2, 3]));
+        assert_eq!(
+            result.termination,
+            TerminationReason::Livelock,
+            "{label}: {:?}",
+            result.termination
+        );
+        results.push((label, result));
     }
 
-    // The verdict, the report and the whole result are bit-identical across
-    // the kernel × front-end matrix.
+    // The verdict, the report and the whole result are bit-identical between
+    // the two loops.
     let (reference_label, reference) = &results[0];
     for (label, result) in &results[1..] {
         assert_eq!(result, reference, "{label} diverged from {reference_label}");
@@ -126,15 +118,13 @@ fn epoch_budget_cuts_the_run_at_an_exact_boundary() {
     config.watchdog.epoch_cycles = 1_000;
     config.watchdog.max_epochs = 2;
     let traces = benign_traces(&config, 2_000, 7);
-    for scheduler in [SchedulerKind::PerCycle, SchedulerKind::EventDriven] {
-        let mut config = config.clone();
-        config.scheduler = scheduler;
-        let result = System::new(config, &traces, vec![0, 1, 2, 3]).run();
-        assert_eq!(result.termination, TerminationReason::BudgetExceeded, "{scheduler:?}");
+    for (label, run) in LOOPS {
+        let result = run(System::new(config.clone(), &traces, vec![0, 1, 2, 3]));
+        assert_eq!(result.termination, TerminationReason::BudgetExceeded, "{label}");
         assert!(result.livelock.is_none(), "budget verdicts carry no livelock report");
         // Epochs 1 and 2 pass; the third boundary (cycle 3000) is over
-        // budget — on both kernels.
-        assert_eq!(result.dram_cycles, 3_000, "{scheduler:?}");
+        // budget — in both loops.
+        assert_eq!(result.dram_cycles, 3_000, "{label}");
     }
 }
 

@@ -1,34 +1,19 @@
-//! Multi-channel memory-system tests: the event-driven and per-cycle kernels
-//! must stay bit-identical at every channel count, request routing must
+//! Multi-channel memory-system tests: `System::run` must stay bit-identical
+//! to its per-cycle oracle `System::run_reference` at every channel count, request routing must
 //! follow the channel-interleave policy, and BreakHammer's cross-channel
 //! scoring must identify an attacker no matter how it places its traffic
 //! over the channels.
 
-use breakhammer_suite::cpu::Trace;
 use breakhammer_suite::mem::{AddressMapping, ChannelInterleave};
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{
-    SchedulerKind, SimulationResult, System, SystemConfig, TerminationReason,
-};
+use breakhammer_suite::sim::{System, SystemConfig, TerminationReason};
 use breakhammer_suite::workloads::AttackerProfile;
 
 mod common;
-use common::{attack_traces_with as attack_traces, benign_traces};
-
-fn run_both(
-    mut config: SystemConfig,
-    traces: &[Trace],
-    required: Vec<usize>,
-) -> (SimulationResult, SimulationResult) {
-    config.scheduler = SchedulerKind::PerCycle;
-    let reference = System::new(config.clone(), traces, required.clone()).run();
-    config.scheduler = SchedulerKind::EventDriven;
-    let event_driven = System::new(config, traces, required).run();
-    (reference, event_driven)
-}
+use common::{attack_traces_with as attack_traces, benign_traces, run_both};
 
 /// The core acceptance matrix: channels ∈ {1, 2, 4}, several mechanisms,
-/// with and without BreakHammer — both kernels bit-identical per config.
+/// with and without BreakHammer — both loops bit-identical per config.
 #[test]
 fn kernels_are_identical_across_channel_counts() {
     for channels in [1usize, 2, 4] {
@@ -49,8 +34,8 @@ fn kernels_are_identical_across_channel_counts() {
     }
 }
 
-/// Interleave policies must also agree across kernels (they change the
-/// routing, not the kernel contract).
+/// Interleave policies must also agree across both loops (they change the
+/// routing, not the equivalence contract).
 #[test]
 fn kernels_are_identical_across_interleave_policies() {
     for interleave in
@@ -170,10 +155,10 @@ fn breakhammer_still_reduces_actions_on_two_channels() {
     assert_eq!(with.bitflips, 0);
 }
 
-/// The forward-progress watchdog's verdict is part of the kernel contract:
-/// a starvation livelock (chaos fault dropping every LLC fill) must yield
-/// the same `Livelock` verdict and report at every channel count, on both
-/// kernels.
+/// The forward-progress watchdog's verdict is part of the equivalence
+/// contract: a starvation livelock (chaos fault dropping every LLC fill) must
+/// yield the same `Livelock` verdict and report at every channel count,
+/// through both loops.
 #[test]
 fn watchdog_livelock_verdict_is_identical_across_channel_counts() {
     for channels in [1usize, 2, 4] {
