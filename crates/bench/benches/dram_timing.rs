@@ -1,8 +1,12 @@
 //! Criterion micro-benchmark: the DRAM device model's command-issue engine
 //! (timing-constraint checks and state updates for an ACT / RD / PRE row
-//! cycle), which dominates the simulator's inner loop.
+//! cycle), which dominates the simulator's inner loop, and the RowHammer
+//! disturbance tracker every activation updates.
 
-use bh_dram::{BankAddr, DramChannel, DramCommand, DramGeometry, DramLocation, TimingParams};
+use bh_dram::{
+    BankAddr, DramChannel, DramCommand, DramGeometry, DramLocation, RowAddr, RowHammerTracker,
+    TimingParams,
+};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_row_cycle(c: &mut Criterion) {
@@ -33,5 +37,24 @@ fn bench_row_cycle(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_row_cycle);
+fn bench_tracker(c: &mut Criterion) {
+    // One tracker for every sample, so the measurement sees a warm tracker.
+    let mut tracker = RowHammerTracker::new(DramGeometry::paper_ddr5(), 1 << 20, 1);
+    let mut cycle = 0u64;
+    let mut row = 0usize;
+    c.bench_function("rowhammer_tracker_on_activate", |b| {
+        b.iter(|| {
+            cycle += 30;
+            row = (row + 17) % 4096;
+            let addr = RowAddr { bank: BankAddr { rank: 0, bank_group: row % 8, bank: 0 }, row };
+            tracker.on_activate(black_box(addr), cycle);
+            if cycle.is_multiple_of(1 << 16) {
+                // Keep disturbance bounded so the bitflip log stays empty.
+                tracker.on_periodic_refresh(0, 0, usize::MAX);
+            }
+        });
+    });
+}
+
+criterion_group!(benches, bench_row_cycle, bench_tracker);
 criterion_main!(benches);

@@ -13,9 +13,8 @@
 //!   the pattern that exposed the old `HashMap` + O(capacity) eviction-scan
 //!   hot spot.
 //!
-//! The `bench_hotpath` binary (`cargo run --release -p bh-bench --bin
-//! bench_hotpath`) runs the same measurements and records them in
-//! `BENCH_hotpath.json` so the perf trajectory is tracked in-repo.
+//! Run with `cargo bench -p bh-bench --bench mechanism_overhead`; append
+//! `-- --test` to run every routine once without timing it.
 
 use bh_dram::{BankAddr, DramGeometry, RowAddr, ThreadId, TimingParams};
 use bh_mitigation::{ActionSink, ActivationEvent, MechanismKind};

@@ -6,7 +6,9 @@
 use bh_mem::AddressMapping;
 use bh_mitigation::MechanismKind;
 use bh_sim::{System, SystemConfig};
-use bh_workloads::{MixBuilder, MixClass, TraceGenerator};
+use bh_workloads::{
+    ClassicPattern, ComposedAttacker, MixBuilder, MixClass, NeighborPlacement, TraceGenerator,
+};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 fn bench_system(c: &mut Criterion) {
@@ -44,8 +46,10 @@ fn bench_system(c: &mut Criterion) {
         let mut builder = MixBuilder::new(generator);
         builder.benign_entries = 2_000;
         builder.attacker_entries = 2_000;
-        builder = builder
-            .with_attacker(bh_workloads::AttackerProfile::paper_default().interleaved_channels());
+        builder = builder.with_composed_attacker(ComposedAttacker::new(
+            ClassicPattern::paper_default(),
+            NeighborPlacement::interleaved(),
+        ));
         let mix = builder.build(MixClass::attack_classes()[0], 0, 42);
         group.bench_function(&format!("four_core_attack_8k_instructions_{channels}ch"), |b| {
             b.iter_batched(

@@ -5,29 +5,11 @@
 //! prints the resulting series both as an aligned text table and as CSV.
 //!
 //! The experiment scale (instruction budget, number of mixes per class, the
-//! `N_RH` sweep) defaults to a laptop-friendly "quick" configuration and can
-//! be grown towards the paper's scale through environment variables:
-//!
-//! | Variable | Meaning | Quick default |
-//! |---|---|---|
-//! | `BH_INSTRUCTIONS` | instructions each benign core retires | 120 000 |
-//! | `BH_MIXES_PER_CLASS` | workloads per mix class (paper: 15) | 1 |
-//! | `BH_TRACE_ENTRIES` | trace records per benign application | 20 000 |
-//! | `BH_ATTACKER_ENTRIES` | trace records for the attacker | 8 000 |
-//! | `BH_NRH_LIST` | comma-separated `N_RH` sweep | `4096,1024,256,64` |
-//! | `BH_SEED` | workload-generation seed | 42 |
-//! | `BH_THREADS` | worker threads for parallel runs | all cores |
-//! | `BH_WORKERS` | preferred alias for `BH_THREADS` (wins when both are set) | all cores |
-//! | `BH_CHANNELS` | memory channels (sharded memory system) | 1 |
-//! | `BH_SCENARIOS` | comma-separated attack scenarios (`all` = catalog) | none |
-//! | `BH_FAULT_MODEL` | `threshold` or `probabilistic` bit-flip model | `threshold` |
-//! | `BH_FLIP_PROBABILITY` | per-crossing flip probability (probabilistic model) | 0.5 |
-//! | `BH_NRH_VARIATION` | per-row `N_RH` variation half-width (probabilistic model) | 0.1 |
-//! | `BH_ECC` | ECC scheme classifying flips: `none` or `secded` | `none` |
-//! | `BH_WATCHDOG_EPOCH_CYCLES` | watchdog epoch length (0 = auto-derive) | 0 |
-//! | `BH_WATCHDOG_STALL_EPOCHS` | zero-progress epochs before a livelock verdict | 8 |
-//! | `BH_WATCHDOG_MAX_EPOCHS` | per-run epoch budget (0 = unlimited) | 0 |
-//! | `BH_WATCHDOG_MAX_PREVENTIVE` | per-run preventive-action budget (0 = unlimited) | 0 |
+//! `N_RH` sweep) defaults to a laptop-friendly "quick" configuration
+//! ([`Scale::quick`]) and can be grown towards the paper's scale through
+//! `BH_*` environment variables. The README's knob table lists them with
+//! their defaults; [`bh_core::knobs::KNOBS`] is the registry both are
+//! checked against.
 //!
 //! Set-but-unparseable variables (garbage, `0` where a positive count is
 //! required) fall back to their defaults with a one-time warning on stderr
@@ -161,11 +143,6 @@ impl Scale {
         if let Some(v) = count("BH_ATTACKER_ENTRIES", scale.attacker_entries as u64) {
             scale.attacker_entries = (v as usize).max(100);
         }
-        if let Some(v) = count("BH_THREADS", scale.worker_threads as u64) {
-            scale.worker_threads = v as usize;
-        }
-        // `BH_WORKERS` is the preferred spelling (it matches the campaign
-        // CLI's terminology); it wins over the legacy `BH_THREADS`.
         if let Some(v) = count("BH_WORKERS", scale.worker_threads as u64) {
             scale.worker_threads = v as usize;
         }
@@ -849,6 +826,7 @@ mod tests {
             ("BH_NRH_LIST", "128, 64"),
             ("BH_MIXES_PER_CLASS", "2"),
             ("BH_ATTACKER_ENTRIES", "1234"),
+            ("BH_WORKERS", "5"),
         ]
         .into_iter()
         .collect();
@@ -857,23 +835,10 @@ mod tests {
         assert_eq!(scale.nrh_values, vec![128, 64]);
         assert_eq!(scale.mixes_per_class, 2);
         assert_eq!(scale.attacker_entries, 1234);
+        assert_eq!(scale.worker_threads, 5);
         // Unset variables keep their quick defaults.
         assert_eq!(scale.benign_entries, Scale::quick().benign_entries);
         assert!(scale.scenarios.is_empty(), "scenarios default to none");
-    }
-
-    #[test]
-    fn bh_workers_wins_over_legacy_bh_threads() {
-        let both = Scale::from_lookup(|name| match name {
-            "BH_THREADS" => Some("3".to_string()),
-            "BH_WORKERS" => Some("7".to_string()),
-            _ => None,
-        });
-        assert_eq!(both.worker_threads, 7);
-        let legacy = Scale::from_lookup(|name| (name == "BH_THREADS").then(|| "3".to_string()));
-        assert_eq!(legacy.worker_threads, 3);
-        let preferred = Scale::from_lookup(|name| (name == "BH_WORKERS").then(|| "5".to_string()));
-        assert_eq!(preferred.worker_threads, 5);
     }
 
     #[test]

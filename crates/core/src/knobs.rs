@@ -39,12 +39,12 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "BH_BENCH_SAMPLES",
-        summary: "samples per bench_hotpath measurement",
+        summary: "samples per criterion-shim bench measurement",
         default: "10",
     },
     Knob {
         name: "BH_BENCH_TARGET_MS",
-        summary: "per-sample time budget of bench_hotpath (ms)",
+        summary: "per-sample time budget of the criterion shim (ms)",
         default: "50",
     },
     Knob {
@@ -118,11 +118,6 @@ pub const KNOBS: &[Knob] = &[
         name: "BH_TEST_FORCE_SPIN_MIX",
         summary: "test hook: inject a livelock into campaign cells whose mix name matches",
         default: "unset",
-    },
-    Knob {
-        name: "BH_THREADS",
-        summary: "legacy spelling of BH_WORKERS (BH_WORKERS wins)",
-        default: "all cores",
     },
     Knob {
         name: "BH_TRACE_ENTRIES",

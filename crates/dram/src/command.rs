@@ -138,17 +138,6 @@ impl DramCommand {
         }
     }
 
-    /// Builds a same-bank refresh targeting bank index `bank` of every bank
-    /// group in `rank`.
-    pub fn refresh_same_bank(rank: usize, bank: usize) -> Self {
-        DramCommand {
-            kind: CommandKind::RefreshSameBank,
-            bank: BankAddr { rank, bank_group: 0, bank },
-            row: 0,
-            column: 0,
-        }
-    }
-
     /// Builds a refresh-management (RFM) command for the bank's rank / bank.
     pub fn rfm(bank: BankAddr) -> Self {
         DramCommand { kind: CommandKind::RefreshManagement, bank, row: 0, column: 0 }

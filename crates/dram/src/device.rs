@@ -209,11 +209,6 @@ impl DramChannel {
         self.rowhammer.as_ref()
     }
 
-    /// Mutable access to the RowHammer tracker, if one is attached.
-    pub fn rowhammer_mut(&mut self) -> Option<&mut RowHammerTracker> {
-        self.rowhammer.as_mut()
-    }
-
     /// The row currently open in `bank`, if any.
     pub fn open_row(&self, bank: BankAddr) -> Option<usize> {
         self.banks[self.geometry.flat_bank(bank)].open_row()
@@ -234,16 +229,6 @@ impl DramChannel {
                 as u64
         );
         self.open_per_rank[rank] == 0
-    }
-
-    /// Lifetime activation count of `bank`.
-    pub fn bank_activations(&self, bank: BankAddr) -> u64 {
-        self.banks[self.geometry.flat_bank(bank)].activation_count
-    }
-
-    /// Lifetime activation count of `rank`.
-    pub fn rank_activations(&self, rank: usize) -> u64 {
-        self.ranks[rank].activation_count
     }
 
     fn group_index(&self, bank: BankAddr) -> usize {
@@ -511,7 +496,6 @@ impl DramChannel {
                 debug_assert!(bank.is_closed(), "ACT on open bank");
                 self.open_per_rank[cmd.bank.rank] += 1;
                 bank.row = RowState::Open { row: cmd.row, since: cycle };
-                bank.activation_count += 1;
                 bank.next_pre = bank.next_pre.max(cycle + t.t_ras);
                 bank.next_rd = bank.next_rd.max(cycle + t.t_rcd);
                 bank.next_wr = bank.next_wr.max(cycle + t.t_rcd);
@@ -532,7 +516,6 @@ impl DramChannel {
                 // Modelled as an ACT+PRE pair on the victim row that restores
                 // its charge; it occupies the bank for one full row cycle.
                 let bank = &mut self.banks[flat];
-                bank.activation_count += 1;
                 bank.next_act = bank.next_act.max(cycle + t.t_rc);
                 bank.next_pre = bank.next_pre.max(cycle + t.t_rc);
                 bank.next_rd = bank.next_rd.max(cycle + t.t_rc);

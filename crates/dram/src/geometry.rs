@@ -176,11 +176,6 @@ impl DramGeometry {
         self.rows_per_channel() as u64 * self.row_bytes() as u64
     }
 
-    /// Total capacity of the whole memory system in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.channel_bytes() * self.channels as u64
-    }
-
     /// Flattens a [`BankAddr`] to a dense index in `0..banks_per_channel()`.
     ///
     /// # Panics

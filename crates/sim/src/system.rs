@@ -907,7 +907,7 @@ mod tests {
     use super::*;
     use bh_mem::AddressMapping;
     use bh_mitigation::MechanismKind;
-    use bh_workloads::{AttackerProfile, BenignProfile, TraceGenerator};
+    use bh_workloads::{BenignProfile, ComposedAttacker, TraceGenerator};
 
     fn generator(config: &SystemConfig) -> TraceGenerator {
         TraceGenerator::new(config.geometry.clone(), AddressMapping::paper_default())
@@ -937,7 +937,7 @@ mod tests {
 
     fn attack_traces(config: &SystemConfig, entries: usize) -> Vec<Trace> {
         let mut traces = benign_traces(config, entries);
-        traces[3] = AttackerProfile::paper_default().trace(
+        traces[3] = ComposedAttacker::paper_default().trace(
             &config.geometry,
             AddressMapping::paper_default(),
             entries,
@@ -1021,7 +1021,7 @@ mod tests {
     fn watched_victims_report_disturbance_under_attack() {
         let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, false);
         config.instructions_per_core = 15_000;
-        let attacker = AttackerProfile::paper_default().compose();
+        let attacker = ComposedAttacker::paper_default();
         let mut traces = benign_traces(&config, 4_000);
         traces[3] = attacker.trace(&config.geometry, AddressMapping::paper_default(), 4_000, 999);
         let victims = attacker.victim_rows(&config.geometry);

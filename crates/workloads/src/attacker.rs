@@ -1,25 +1,16 @@
-//! RowHammer / memory-performance-attack trace generators — the legacy
-//! profile API, kept as a thin compat facade over the composable framework.
+//! The parameter types of the paper's classic attacker.
 //!
 //! The paper's attacker is "a malicious application that mounts a memory
 //! performance attack by triggering many RowHammer-preventive actions"
-//! (§8.1). [`AttackerProfile`] describes the canonical attack loops —
-//! uncached (`clflush`-style) reads that repeatedly activate a small set of
-//! aggressor rows, double-sided or many-sided in one bank, or spread over
-//! several banks — and lowers onto the pattern × placement traits via
-//! [`AttackerProfile::compose`]: the profile's [`AttackerKind`] becomes a
-//! [`ClassicPattern`] and its
-//! [`ChannelTarget`] a
-//! [`NeighborPlacement`]. Trace
-//! generation through the facade is bit-identical to the pre-framework
-//! generator (pinned by the golden digests and a byte-identity proptest).
+//! (§8.1): uncached (`clflush`-style) reads that repeatedly activate a small
+//! set of aggressor rows, double-sided or many-sided in one bank, or spread
+//! over several banks. [`AttackerKind`] is the loop shape a
+//! [`ClassicPattern`](crate::ClassicPattern) hammers, and [`ChannelTarget`]
+//! the channels a [`NeighborPlacement`](crate::NeighborPlacement) puts it on;
+//! [`ComposedAttacker::paper_default`](crate::ComposedAttacker::paper_default)
+//! composes the two into the §8.1 attacker. The tests below pin the composed
+//! classic attacker byte for byte against the pre-framework generator.
 
-use crate::compose::ComposedAttacker;
-use crate::pattern::ClassicPattern;
-use crate::placement::{AggressorPlacement, NeighborPlacement};
-use bh_cpu::Trace;
-use bh_dram::{BankAddr, DramGeometry};
-use bh_mem::AddressMapping;
 use serde::{Deserialize, Serialize};
 
 /// The shape of the hammering pattern.
@@ -105,109 +96,38 @@ impl Default for ChannelTarget {
     }
 }
 
-/// An attacker configuration (legacy API).
-///
-/// New code should compose an
-/// [`AccessPattern`](crate::pattern::AccessPattern) with an
-/// [`AggressorPlacement`] directly; this profile covers the classic shapes
-/// and lowers onto those traits via [`AttackerProfile::compose`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AttackerProfile {
-    /// The hammering pattern.
-    pub kind: AttackerKind,
-    /// Non-memory instructions between consecutive hammering accesses (a
-    /// tight attack loop has very few).
-    pub bubbles: u32,
-    /// Which memory channels the pattern targets.
-    pub channels: ChannelTarget,
-}
-
-impl AttackerProfile {
-    /// The paper's default attacker: a tight uncached hammering loop that
-    /// concentrates on a few aggressor rows in a handful of banks, crafted to trigger
-    /// as many RowHammer-preventive actions as possible per unit time (the
-    /// memory performance attack of §8.1). Concentrating the activations on
-    /// few rows reaches the mitigations' per-row thresholds quickly even in
-    /// short simulations; use [`AttackerKind::MultiBank`] with more banks and
-    /// aggressors for longer runs.
-    pub fn paper_default() -> Self {
-        AttackerProfile {
-            kind: AttackerKind::MultiBank { banks: 4, aggressors: 2 },
-            bubbles: 0,
-            channels: ChannelTarget::default(),
-        }
-    }
-
-    /// A double-sided attacker.
-    pub fn double_sided() -> Self {
-        AttackerProfile {
-            kind: AttackerKind::DoubleSided,
-            bubbles: 1,
-            channels: ChannelTarget::default(),
-        }
-    }
-
-    /// The same attacker with all hammering pinned to one memory channel.
-    pub fn pinned_to_channel(mut self, channel: usize) -> Self {
-        self.channels = ChannelTarget::pinned(channel);
-        self
-    }
-
-    /// The same attacker replicating its pattern over every memory channel.
-    pub fn interleaved_channels(mut self) -> Self {
-        self.channels = ChannelTarget::interleave();
-        self
-    }
-
-    /// Lowers the profile onto the composable framework: a
-    /// [`ClassicPattern`] over a [`NeighborPlacement`] honouring the
-    /// profile's [`ChannelTarget`]. The result is untagged so mixes built
-    /// from it keep their pre-framework names (and golden digests).
-    pub fn compose(&self) -> ComposedAttacker {
-        ComposedAttacker::new(
-            ClassicPattern::new(self.kind).with_bubbles(self.bubbles),
-            NeighborPlacement::with_channels(self.channels),
-        )
-        .untagged()
-    }
-
-    /// Generates the attack trace.
-    ///
-    /// # Panics
-    /// Panics if `entries` is zero or the profile parameters are degenerate
-    /// (zero aggressor rows or banks).
-    pub fn trace(
-        &self,
-        geometry: &DramGeometry,
-        mapping: AddressMapping,
-        entries: usize,
-        seed: u64,
-    ) -> Trace {
-        self.compose().trace(geometry, mapping, entries, seed)
-    }
-
-    /// The aggressor rows this profile hammers (useful for analyses/tests).
-    pub fn aggressor_rows(&self, geometry: &DramGeometry) -> Vec<(BankAddr, usize)> {
-        // The legacy method never asserted on degenerate parameters, so
-        // bypass the pattern's checked request.
-        let request = ClassicPattern::request_unchecked(self.kind);
-        NeighborPlacement::with_channels(self.channels).place(&request, geometry).aggressor_rows()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_types)] // test-only hash collections: assertion sets and reference models, never digest-bearing
 mod tests {
     use super::*;
+    use crate::compose::ComposedAttacker;
+    use crate::pattern::ClassicPattern;
+    use crate::placement::NeighborPlacement;
+    use bh_cpu::Trace;
+    use bh_dram::{BankAddr, DramGeometry};
+    use bh_mem::AddressMapping;
     use std::collections::HashSet;
 
     fn geometry() -> DramGeometry {
         DramGeometry::paper_ddr5()
     }
 
+    /// A classic attacker of `kind` on channel 0.
+    fn classic(kind: AttackerKind, bubbles: u32) -> ComposedAttacker {
+        ComposedAttacker::new(
+            ClassicPattern::new(kind).with_bubbles(bubbles),
+            NeighborPlacement::new(),
+        )
+    }
+
+    /// The paper-default pattern over `placement`.
+    fn paper_on(placement: NeighborPlacement) -> ComposedAttacker {
+        ComposedAttacker::new(ClassicPattern::paper_default(), placement)
+    }
+
     #[test]
     fn attack_trace_is_uncached_and_memory_intense() {
-        let p = AttackerProfile::paper_default();
+        let p = ComposedAttacker::paper_default();
         let t = p.trace(&geometry(), AddressMapping::paper_default(), 2_000, 1);
         assert!(t.entries().iter().all(|e| e.uncached && !e.is_write));
         // Nearly every instruction is a memory access.
@@ -216,7 +136,7 @@ mod tests {
 
     #[test]
     fn double_sided_attack_targets_two_rows_of_one_bank() {
-        let p = AttackerProfile::double_sided();
+        let p = classic(AttackerKind::double_sided(), 1);
         let g = geometry();
         let mapping = AddressMapping::paper_default();
         let t = p.trace(&g, mapping, 1_000, 2);
@@ -241,11 +161,7 @@ mod tests {
 
     #[test]
     fn many_sided_attack_cycles_the_requested_number_of_aggressors() {
-        let p = AttackerProfile {
-            kind: AttackerKind::many_sided(16),
-            bubbles: 0,
-            channels: ChannelTarget::default(),
-        };
+        let p = classic(AttackerKind::many_sided(16), 0);
         let g = geometry();
         let mapping = AddressMapping::paper_default();
         let t = p.trace(&g, mapping, 3_200, 3);
@@ -257,11 +173,7 @@ mod tests {
 
     #[test]
     fn multi_bank_attack_spreads_over_banks() {
-        let p = AttackerProfile {
-            kind: AttackerKind::multi_bank(8, 4),
-            bubbles: 0,
-            channels: ChannelTarget::default(),
-        };
+        let p = classic(AttackerKind::multi_bank(8, 4), 0);
         let g = geometry();
         let mapping = AddressMapping::paper_default();
         let t = p.trace(&g, mapping, 4_000, 4);
@@ -274,7 +186,7 @@ mod tests {
     fn consecutive_accesses_force_row_conflicts() {
         // Within a bank, consecutive attack accesses never target the same
         // row, so every access forces a row activation.
-        let p = AttackerProfile::paper_default();
+        let p = ComposedAttacker::paper_default();
         let g = geometry();
         let mapping = AddressMapping::paper_default();
         let t = p.trace(&g, mapping, 1_000, 5);
@@ -288,7 +200,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let p = AttackerProfile::paper_default();
+        let p = ComposedAttacker::paper_default();
         let g = geometry();
         let m = AddressMapping::paper_default();
         assert_eq!(p.trace(&g, m, 100, 9), p.trace(&g, m, 100, 9));
@@ -298,9 +210,9 @@ mod tests {
     fn channel_targets_are_identity_on_single_channel_systems() {
         let g = geometry();
         let m = AddressMapping::paper_default();
-        let base = AttackerProfile::paper_default();
-        let pinned = base.pinned_to_channel(0);
-        let interleaved = base.interleaved_channels();
+        let base = ComposedAttacker::paper_default();
+        let pinned = paper_on(NeighborPlacement::pinned(0));
+        let interleaved = paper_on(NeighborPlacement::interleaved());
         assert_eq!(base.trace(&g, m, 500, 3), pinned.trace(&g, m, 500, 3));
         assert_eq!(base.trace(&g, m, 500, 3), interleaved.trace(&g, m, 500, 3));
     }
@@ -309,7 +221,7 @@ mod tests {
     fn pinned_attacker_stays_in_its_channel() {
         let g = geometry().with_channels(4);
         let m = AddressMapping::paper_default();
-        let p = AttackerProfile::paper_default().pinned_to_channel(2);
+        let p = paper_on(NeighborPlacement::pinned(2));
         let t = p.trace(&g, m, 2_000, 6);
         let channels: HashSet<usize> =
             t.entries().iter().map(|e| m.decode(e.addr, &g).channel).collect();
@@ -320,7 +232,7 @@ mod tests {
     fn interleaved_attacker_replicates_the_pattern_on_every_channel() {
         let g = geometry().with_channels(2);
         let m = AddressMapping::paper_default();
-        let p = AttackerProfile::paper_default().interleaved_channels();
+        let p = paper_on(NeighborPlacement::interleaved());
         let t = p.trace(&g, m, 4_000, 6);
         let locs: Vec<_> = t.entries().iter().map(|e| m.decode(e.addr, &g)).collect();
         let channels: HashSet<usize> = locs.iter().map(|l| l.channel).collect();
@@ -336,41 +248,44 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two aggressors")]
     fn degenerate_many_sided_rejected() {
-        let p = AttackerProfile {
-            kind: AttackerKind::ManySided { aggressors: 1 },
-            bubbles: 0,
-            channels: ChannelTarget::default(),
-        };
+        let p = classic(AttackerKind::ManySided { aggressors: 1 }, 0);
         let _ = p.trace(&geometry(), AddressMapping::paper_default(), 10, 0);
     }
 }
 
 #[cfg(test)]
 mod byte_identity {
-    //! The compat facade's contract: `AttackerProfile::trace` through the
-    //! composable framework is *byte-identical* to the pre-redesign
+    //! The classic attacker's contract: `ClassicPattern` over a
+    //! `NeighborPlacement` is *byte-identical* to the pre-redesign
     //! generator, for every kind × channel target × seed. The reference
-    //! implementation below is the old generator loop, kept verbatim.
+    //! implementation below is the old generator loop, unchanged except that
+    //! it takes the attacker's kind, bubbles and channel target directly.
 
     use super::*;
-    use bh_cpu::TraceEntry;
-    use bh_dram::DramLocation;
+    use crate::compose::ComposedAttacker;
+    use crate::pattern::ClassicPattern;
+    use crate::placement::NeighborPlacement;
+    use bh_cpu::{Trace, TraceEntry};
+    use bh_dram::{BankAddr, DramGeometry, DramLocation};
+    use bh_mem::AddressMapping;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     const AGGRESSOR_BASE: usize = 20_000;
 
-    /// The pre-redesign `AttackerProfile::trace`, verbatim.
+    /// The pre-redesign attacker trace generator.
     fn reference_trace(
-        profile: &AttackerProfile,
+        kind: AttackerKind,
+        bubbles: u32,
+        target: ChannelTarget,
         geometry: &DramGeometry,
         mapping: AddressMapping,
         entries: usize,
         seed: u64,
     ) -> Trace {
         assert!(entries > 0, "a trace needs at least one record");
-        let (banks, aggressors_per_bank) = match profile.kind {
+        let (banks, aggressors_per_bank) = match kind {
             AttackerKind::DoubleSided => (1usize, 2usize),
             AttackerKind::ManySided { aggressors } => (1, aggressors),
             AttackerKind::MultiBank { banks, aggressors } => {
@@ -384,7 +299,7 @@ mod byte_identity {
         let mut column = 0usize;
         for i in 0..entries {
             let bank_idx = i % banks;
-            let (channel, agg_step) = match profile.channels {
+            let (channel, agg_step) = match target {
                 ChannelTarget::Pinned(channel) => (channel % channel_count, i / banks),
                 ChannelTarget::Interleave => {
                     ((i / banks) % channel_count, i / banks / channel_count)
@@ -396,12 +311,7 @@ mod byte_identity {
             column = (column + 1 + rng.gen_range(0..3usize)) % geometry.columns_per_row;
             let loc = DramLocation { channel, bank, row: row % geometry.rows_per_bank, column };
             let addr = mapping.encode(&loc, geometry);
-            records.push(TraceEntry {
-                bubbles: profile.bubbles,
-                addr,
-                is_write: false,
-                uncached: true,
-            });
+            records.push(TraceEntry { bubbles, addr, is_write: false, uncached: true });
         }
         Trace::new(records)
     }
@@ -409,9 +319,9 @@ mod byte_identity {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The facade lowers onto ClassicPattern × NeighborPlacement with no
-        /// byte of trace difference, for every kind × channel target, on both
-        /// geometries and any channel count.
+        /// ClassicPattern × NeighborPlacement matches the legacy generator
+        /// with no byte of trace difference, for every kind × channel target,
+        /// on both geometries and any channel count.
         #[test]
         fn facade_traces_are_byte_identical_to_the_legacy_generator(
             kind_sel in 0usize..3,
@@ -438,9 +348,12 @@ mod byte_identity {
             let base = if tiny { DramGeometry::tiny() } else { DramGeometry::paper_ddr5() };
             let geometry = base.with_channels(channels);
             let mapping = AddressMapping::paper_default();
-            let profile = AttackerProfile { kind, bubbles, channels: target };
-            let new = profile.trace(&geometry, mapping, entries, seed);
-            let old = reference_trace(&profile, &geometry, mapping, entries, seed);
+            let attacker = ComposedAttacker::new(
+                ClassicPattern::new(kind).with_bubbles(bubbles),
+                NeighborPlacement::with_channels(target),
+            );
+            let new = attacker.trace(&geometry, mapping, entries, seed);
+            let old = reference_trace(kind, bubbles, target, &geometry, mapping, entries, seed);
             prop_assert_eq!(new.to_bytes(), old.to_bytes());
         }
     }

@@ -7,8 +7,8 @@
 //! generates its schedule over it, and the victim layout declares which rows
 //! the simulator should watch.
 
-use crate::pattern::AccessPattern;
-use crate::placement::AggressorPlacement;
+use crate::pattern::{AccessPattern, ClassicPattern};
+use crate::placement::{AggressorPlacement, NeighborPlacement};
 use crate::victim::{SandwichedVictims, VictimLayout, VictimRow};
 use bh_cpu::Trace;
 use bh_dram::{BankAddr, DramGeometry};
@@ -59,6 +59,17 @@ impl ComposedAttacker {
         }
     }
 
+    /// The paper's §8.1 memory-performance attacker:
+    /// [`ClassicPattern::paper_default`] over a channel-0
+    /// [`NeighborPlacement`], untagged so the mixes built from it keep their
+    /// plain names (and golden digests). It is [`MixBuilder`]'s default
+    /// attacker.
+    ///
+    /// [`MixBuilder`]: crate::MixBuilder
+    pub fn paper_default() -> Self {
+        ComposedAttacker::new(ClassicPattern::paper_default(), NeighborPlacement::new()).untagged()
+    }
+
     /// Replaces the victim layout.
     pub fn with_victims(mut self, victims: impl VictimLayout + 'static) -> Self {
         self.victims = Arc::new(victims);
@@ -72,8 +83,9 @@ impl ComposedAttacker {
     }
 
     /// Drops the scenario tag. Mixes built from an untagged attacker keep
-    /// their plain names — the compat facade uses this so pre-redesign mix
-    /// names (and thus golden digests) stay unchanged.
+    /// their plain names — [`ComposedAttacker::paper_default`] uses this so
+    /// the paper attacker's mix names (and thus golden digests) stay
+    /// unchanged.
     pub fn untagged(mut self) -> Self {
         self.tag = None;
         self
@@ -127,8 +139,8 @@ impl ComposedAttacker {
 mod tests {
     use super::*;
     use crate::attacker::AttackerKind;
-    use crate::pattern::{ClassicPattern, DecoyPattern, FuzzedPattern};
-    use crate::placement::{NeighborPlacement, SpreadPlacement};
+    use crate::pattern::{DecoyPattern, FuzzedPattern};
+    use crate::placement::SpreadPlacement;
     use crate::victim::KeyTableVictims;
 
     #[test]

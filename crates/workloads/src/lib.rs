@@ -15,10 +15,10 @@
 //!   × an [`AggressorPlacement`] (the allocator: [`NeighborPlacement`],
 //!   [`SpreadPlacement`]) × a [`VictimLayout`] (the data at risk:
 //!   [`SandwichedVictims`], [`KeyTableVictims`]), glued by
-//!   [`ComposedAttacker`] and named by the [`scenario_catalog()`];
-//! * [`AttackerProfile`] — the legacy `clflush`-style hammering loops
-//!   (double-sided, many-sided, multi-bank), kept as a bit-identical compat
-//!   facade that lowers onto the framework;
+//!   [`ComposedAttacker`] and named by the [`scenario_catalog()`]; the
+//!   paper's §8.1 attacker is [`ComposedAttacker::paper_default`], a
+//!   [`ClassicPattern`] (shaped by [`AttackerKind`]) over a
+//!   [`NeighborPlacement`] (targeted by [`ChannelTarget`]);
 //! * [`MixClass`] / [`MixBuilder`] — the four-core workload mixes of §7 and
 //!   §8.1 (HHHH…LLLL and HHHA…LLLA);
 //! * [`characterize()`] — the Table 3 characterisation (RBMPKI and rows with
@@ -51,7 +51,7 @@ pub mod profile;
 pub mod scenario;
 pub mod victim;
 
-pub use attacker::{AttackerKind, AttackerProfile, ChannelTarget};
+pub use attacker::{AttackerKind, ChannelTarget};
 pub use characterize::{characterize, WorkloadCharacteristics};
 pub use compose::ComposedAttacker;
 pub use generator::TraceGenerator;

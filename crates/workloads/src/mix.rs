@@ -6,7 +6,6 @@
 //! (HHHA, HHMA, MMMA, HLLA, MMLA, LLLA). This module builds those mixes from
 //! the synthetic profile library, deterministically from a seed.
 
-use crate::attacker::AttackerProfile;
 use crate::compose::ComposedAttacker;
 use crate::generator::TraceGenerator;
 use crate::profile::{BenignProfile, IntensityClass};
@@ -162,28 +161,22 @@ pub struct MixBuilder {
     /// Optional scenario tag appended to mix names (e.g. `"fuzz-nbr"` for a
     /// catalog scenario), so scenario variants of the same class and index
     /// stay distinguishable in result tables. Defaults to the composed
-    /// attacker's tag (`None` for attackers lowered from an
-    /// [`AttackerProfile`]).
+    /// attacker's tag (`None` for the untagged
+    /// [`ComposedAttacker::paper_default`]).
     scenario_suffix: Option<String>,
 }
 
 impl MixBuilder {
-    /// Creates a builder for the paper's system configuration.
+    /// Creates a builder for the paper's system configuration, with the
+    /// paper's attacker ([`ComposedAttacker::paper_default`]).
     pub fn new(generator: TraceGenerator) -> Self {
         MixBuilder {
             generator,
-            attacker: AttackerProfile::paper_default().compose(),
+            attacker: ComposedAttacker::paper_default(),
             benign_entries: 20_000,
             attacker_entries: 8_000,
             scenario_suffix: None,
         }
-    }
-
-    /// Overrides the attacker with a legacy profile (lowered onto the
-    /// composable framework; mix names stay untagged).
-    pub fn with_attacker(mut self, attacker: AttackerProfile) -> Self {
-        self.attacker = attacker.compose();
-        self
     }
 
     /// Overrides the attacker with a composed pattern × placement × victims.
@@ -345,7 +338,7 @@ mod tests {
         let b = builder();
         let attack = b.build(MixClass::attack_classes()[0], 0, 42);
         assert!(!attack.victim_rows.is_empty());
-        assert_eq!(attack.scenario, None, "compat attacker keeps untagged names");
+        assert_eq!(attack.scenario, None, "the paper attacker keeps untagged names");
         let benign = b.build(MixClass::benign_classes()[0], 0, 42);
         assert!(benign.victim_rows.is_empty());
     }

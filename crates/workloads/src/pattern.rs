@@ -10,8 +10,8 @@
 //!
 //! Four hammerers ship with the framework:
 //!
-//! * [`ClassicPattern`] — the pre-framework double-/many-sided/multi-bank
-//!   loops, bit-identical to the old `AttackerProfile` generator;
+//! * [`ClassicPattern`] — the paper's double-/many-sided/multi-bank
+//!   loops, bit-identical to the pre-framework generator;
 //! * [`FuzzedPattern`] — Blacksmith-style seeded non-uniform schedules with
 //!   per-aggressor frequency, phase and amplitude;
 //! * [`RowPressPattern`] — RowPress-style long-open-row dwell via run-length
@@ -74,9 +74,9 @@ pub trait AccessPattern: fmt::Debug + Send + Sync {
     ) -> Trace;
 }
 
-/// The pre-framework hammering loops (double-sided, many-sided, multi-bank),
-/// kept bit-identical to the old `AttackerProfile` trace generator — the
-/// 40-config golden digests pin this.
+/// The paper's hammering loops (double-sided, many-sided, multi-bank), kept
+/// bit-identical to the pre-framework trace generator — the 40-config golden
+/// digests pin this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassicPattern {
     kind: AttackerKind,
@@ -89,6 +89,15 @@ impl ClassicPattern {
         ClassicPattern { kind, bubbles: 0 }
     }
 
+    /// The paper's §8.1 attacker loop: a tight hammering loop over two
+    /// aggressor rows in each of four banks, crafted to trigger as many
+    /// RowHammer-preventive actions as possible per unit time. Concentrating
+    /// the activations on few rows reaches the mitigations' per-row
+    /// thresholds quickly even in short simulations.
+    pub fn paper_default() -> Self {
+        ClassicPattern::new(AttackerKind::multi_bank(4, 2))
+    }
+
     /// Overrides the non-memory instructions between hammering accesses.
     pub fn with_bubbles(mut self, bubbles: u32) -> Self {
         self.bubbles = bubbles;
@@ -99,17 +108,6 @@ impl ClassicPattern {
     pub fn kind(&self) -> AttackerKind {
         self.kind
     }
-
-    /// The request this kind denotes, *without* the degeneracy asserts
-    /// (used by the compat facade's `aggressor_rows`, which never asserted).
-    pub(crate) fn request_unchecked(kind: AttackerKind) -> PlacementRequest {
-        let (banks, aggressors_per_bank) = match kind {
-            AttackerKind::DoubleSided => (1usize, 2usize),
-            AttackerKind::ManySided { aggressors } => (1, aggressors),
-            AttackerKind::MultiBank { banks, aggressors } => (banks, aggressors),
-        };
-        PlacementRequest { banks, aggressors_per_bank }
-    }
 }
 
 impl AccessPattern for ClassicPattern {
@@ -118,16 +116,18 @@ impl AccessPattern for ClassicPattern {
     }
 
     fn request(&self) -> PlacementRequest {
-        match self.kind {
-            AttackerKind::DoubleSided => {}
+        let (banks, aggressors_per_bank) = match self.kind {
+            AttackerKind::DoubleSided => (1, 2),
             AttackerKind::ManySided { aggressors } => {
                 assert!(aggressors >= 2, "many-sided attack needs at least two aggressors");
+                (1, aggressors)
             }
             AttackerKind::MultiBank { banks, aggressors } => {
                 assert!(banks >= 1 && aggressors >= 2, "degenerate multi-bank attack");
+                (banks, aggressors)
             }
-        }
-        ClassicPattern::request_unchecked(self.kind)
+        };
+        PlacementRequest { banks, aggressors_per_bank }
     }
 
     fn generate(
@@ -207,12 +207,6 @@ impl FuzzedPattern {
     /// Overrides the non-memory instructions between hammering accesses.
     pub fn with_bubbles(mut self, bubbles: u32) -> Self {
         self.bubbles = bubbles;
-        self
-    }
-
-    /// Overrides the largest burst length the fuzzer may assign.
-    pub fn with_max_amplitude(mut self, amplitude: usize) -> Self {
-        self.max_amplitude = amplitude.max(1);
         self
     }
 
@@ -414,13 +408,6 @@ impl DecoyPattern {
             decoy_rows: 8,
             bubbles: 0,
         }
-    }
-
-    /// Overrides the fraction of accesses spent on decoy traffic (clamped to
-    /// `[0, 0.95]` — a pure-decoy "attacker" would not hammer at all).
-    pub fn with_decoy_fraction(mut self, fraction: f64) -> Self {
-        self.decoy_fraction = fraction.clamp(0.0, 0.95);
-        self
     }
 }
 

@@ -113,9 +113,7 @@ impl AggressorGrid {
         self.rows[b * self.aggressors_per_bank + a]
     }
 
-    /// Every placed aggressor as `(bank, raw_row)`, bank-major (the order
-    /// [`AttackerProfile::aggressor_rows`](crate::AttackerProfile::aggressor_rows)
-    /// has always reported).
+    /// Every placed aggressor as `(bank, raw_row)`, bank-major.
     pub fn aggressor_rows(&self) -> Vec<(BankAddr, usize)> {
         let mut out = Vec::with_capacity(self.banks.len() * self.aggressors_per_bank);
         for (b, bank) in self.banks.iter().enumerate() {
@@ -155,9 +153,9 @@ pub trait AggressorPlacement: fmt::Debug + Send + Sync {
 /// Mapping-aware neighbor targeting: aggressors occupy the first requested
 /// banks (flat bank order) and rows spaced two apart from
 /// `AGGRESSOR_BASE`, so every consecutive aggressor pair sandwiches a victim
-/// row. This is the placement the pre-framework
-/// [`AttackerProfile`](crate::AttackerProfile) always used, including its
-/// channel targeting.
+/// row. This is the placement of the paper's attacker
+/// ([`ComposedAttacker::paper_default`](crate::ComposedAttacker::paper_default)),
+/// on the channels its [`ChannelTarget`] names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NeighborPlacement {
     channels: ChannelTarget,
@@ -235,12 +233,6 @@ impl SpreadPlacement {
     /// Spreading with an explicit channel target.
     pub fn with_channels(mut self, channels: ChannelTarget) -> Self {
         self.channels = channels;
-        self
-    }
-
-    /// Overrides the row offset between consecutive banks' aggressor regions.
-    pub fn with_bank_row_stride(mut self, stride: usize) -> Self {
-        self.bank_row_stride = stride.max(2);
         self
     }
 }

@@ -7,7 +7,6 @@
 //! what `Campaign::run_matrix` enumerates and what the digest-snapshot
 //! harness pins one golden per entry for.
 
-use crate::attacker::AttackerKind;
 use crate::compose::ComposedAttacker;
 use crate::pattern::{ClassicPattern, DecoyPattern, FuzzedPattern, RowPressPattern};
 use crate::placement::{NeighborPlacement, SpreadPlacement};
@@ -65,7 +64,7 @@ pub fn scenario_catalog() -> Vec<AttackScenario> {
         AttackScenario {
             name: "classic-spr",
             attacker: ComposedAttacker::new(
-                ClassicPattern::new(AttackerKind::MultiBank { banks: 4, aggressors: 2 }),
+                ClassicPattern::paper_default(),
                 SpreadPlacement::new(),
             ),
             description: "classic multi-bank hammering spread across banks and channels",

@@ -11,7 +11,7 @@ use breakhammer_suite::dram::ThreadId;
 use breakhammer_suite::mem::AddressMapping;
 use breakhammer_suite::mitigation::MechanismKind;
 use breakhammer_suite::sim::{System, SystemConfig};
-use breakhammer_suite::workloads::{AttackerProfile, BenignProfile, TraceGenerator};
+use breakhammer_suite::workloads::{BenignProfile, ComposedAttacker, TraceGenerator};
 
 fn main() {
     println!("Analytical bound (Expression 2), TH_outlier = 0.65:");
@@ -43,7 +43,7 @@ fn main() {
                 traces.push(generator.benign(&p, 4_000, core as u64));
                 required.push(core);
             } else {
-                traces.push(AttackerProfile::paper_default().trace(
+                traces.push(ComposedAttacker::paper_default().trace(
                     &config.geometry,
                     AddressMapping::paper_default(),
                     4_000,

@@ -11,9 +11,7 @@
 
 use breakhammer_suite::cpu::Trace;
 use breakhammer_suite::sim::{SimulationResult, System, SystemConfig};
-use breakhammer_suite::workloads::{
-    AttackerProfile, BenignProfile, ComposedAttacker, TraceGenerator,
-};
+use breakhammer_suite::workloads::{BenignProfile, ComposedAttacker, TraceGenerator};
 
 /// One way to run a system to completion.
 pub type RunFn = fn(System) -> SimulationResult;
@@ -56,10 +54,11 @@ pub fn benign_traces(config: &SystemConfig, entries: usize, seed: u64) -> Vec<Tr
         .collect()
 }
 
-/// The benign quartet with `attacker` replacing core 3.
+/// The benign quartet with a composed (pattern × placement) `attacker`
+/// replacing core 3.
 pub fn attack_traces_with(
     config: &SystemConfig,
-    attacker: AttackerProfile,
+    attacker: &ComposedAttacker,
     entries: usize,
     seed: u64,
 ) -> Vec<Trace> {
@@ -70,20 +69,5 @@ pub fn attack_traces_with(
 
 /// The benign quartet with the paper-default attacker on core 3.
 pub fn attack_traces(config: &SystemConfig, entries: usize, seed: u64) -> Vec<Trace> {
-    attack_traces_with(config, AttackerProfile::paper_default(), entries, seed)
-}
-
-/// The benign quartet with a composable (pattern × placement) attacker
-/// replacing core 3 — same seeds as [`attack_traces_with`] so a composed
-/// attacker that lowers the classic pattern reproduces `attack_traces`
-/// byte for byte.
-pub fn attack_traces_composed(
-    config: &SystemConfig,
-    attacker: &ComposedAttacker,
-    entries: usize,
-    seed: u64,
-) -> Vec<Trace> {
-    let mut traces = benign_traces(config, entries, seed);
-    traces[3] = attacker.trace(&config.geometry, config.memctrl.mapping, entries, seed + 900);
-    traces
+    attack_traces_with(config, &ComposedAttacker::paper_default(), entries, seed)
 }

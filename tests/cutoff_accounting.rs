@@ -13,7 +13,7 @@
 use breakhammer_suite::cpu::Trace;
 use breakhammer_suite::mitigation::MechanismKind;
 use breakhammer_suite::sim::{SimulationResult, System, SystemConfig, TerminationReason};
-use breakhammer_suite::workloads::AttackerProfile;
+use breakhammer_suite::workloads::ComposedAttacker;
 
 mod common;
 use common::{run_both, RunFn, LOOPS};
@@ -42,7 +42,7 @@ fn stall_heavy_config() -> (SystemConfig, Vec<Trace>) {
     config.instructions_per_core = 500_000; // far more than the cutoff allows
     config.max_dram_cycles = 25_000;
     config.cache.mshrs = 4; // tiny MSHR pool: misses back up into hard stalls
-    let attacker = AttackerProfile::paper_default();
+    let attacker = ComposedAttacker::paper_default();
     let traces = (0..4)
         .map(|i| attacker.trace(&config.geometry, config.memctrl.mapping, 2_000, 900 + i as u64))
         .collect();

@@ -25,7 +25,7 @@ use breakhammer_suite::mitigation::MechanismKind;
 use breakhammer_suite::sim::{SimulationResult, System, SystemConfig};
 
 mod common;
-use common::{attack_traces, attack_traces_composed, LOOPS};
+use common::{attack_traces, attack_traces_with, LOOPS};
 
 /// FNV-1a, the digest accumulator. Stable across platforms and releases.
 struct Digest(u64);
@@ -233,7 +233,7 @@ fn run_scenario_matrix() -> Vec<(String, u64)> {
             let mut digests = Vec::new();
             for (kernel, run) in LOOPS {
                 let config = config_for(MechanismKind::Graphene, breakhammer);
-                let traces = attack_traces_composed(&config, &scenario.attacker, 2_000, 100);
+                let traces = attack_traces_with(&config, &scenario.attacker, 2_000, 100);
                 let victims = scenario.attacker.victim_rows(&config.geometry);
                 let result = run(System::new(config, &traces, vec![0, 1, 2])
                     .watch_victims(victims.iter().map(|v| (v.channel, v.row))));

@@ -7,7 +7,7 @@
 use breakhammer_suite::mem::{AddressMapping, ChannelInterleave};
 use breakhammer_suite::mitigation::MechanismKind;
 use breakhammer_suite::sim::{System, SystemConfig, TerminationReason};
-use breakhammer_suite::workloads::AttackerProfile;
+use breakhammer_suite::workloads::{ClassicPattern, ComposedAttacker, NeighborPlacement};
 
 mod common;
 use common::{attack_traces_with as attack_traces, benign_traces, run_both};
@@ -25,7 +25,7 @@ fn kernels_are_identical_across_channel_counts() {
             let mut config =
                 SystemConfig::fast_test(mechanism, 128, breakhammer).with_channels(channels);
             config.instructions_per_core = 6_000;
-            let traces = attack_traces(&config, AttackerProfile::paper_default(), 2_000, 100);
+            let traces = attack_traces(&config, &ComposedAttacker::paper_default(), 2_000, 100);
             let label = format!("{} x{channels}ch", config.summary());
             let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
             assert_eq!(reference, event_driven, "kernels diverged for {label}");
@@ -45,7 +45,7 @@ fn kernels_are_identical_across_interleave_policies() {
             SystemConfig::fast_test(MechanismKind::Graphene, 128, true).with_channels(2);
         config.memctrl.mapping = AddressMapping::paper_default().with_interleave(interleave);
         config.instructions_per_core = 5_000;
-        let traces = attack_traces(&config, AttackerProfile::paper_default(), 2_000, 7);
+        let traces = attack_traces(&config, &ComposedAttacker::paper_default(), 2_000, 7);
         let (reference, event_driven) = run_both(config, &traces, vec![0, 1, 2]);
         assert_eq!(reference, event_driven, "kernels diverged for {interleave:?}");
     }
@@ -58,7 +58,7 @@ fn kernels_are_identical_across_interleave_policies() {
 fn per_channel_breakdown_sums_to_the_aggregate() {
     let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, false).with_channels(2);
     config.instructions_per_core = 6_000;
-    let traces = attack_traces(&config, AttackerProfile::paper_default(), 2_000, 3);
+    let traces = attack_traces(&config, &ComposedAttacker::paper_default(), 2_000, 3);
     let result = System::new(config, &traces, vec![0, 1, 2]).run();
 
     assert_eq!(result.per_channel.len(), 2);
@@ -82,8 +82,9 @@ fn channel_pinned_attacker_is_caught_by_cross_channel_scoring() {
     let mut bh = config.effective_breakhammer_config();
     bh.threat_threshold = 8.0;
     config.breakhammer_config = Some(bh);
-    let attacker = AttackerProfile::paper_default().pinned_to_channel(1);
-    let traces = attack_traces(&config, attacker, 3_000, 11);
+    let attacker =
+        ComposedAttacker::new(ClassicPattern::paper_default(), NeighborPlacement::pinned(1));
+    let traces = attack_traces(&config, &attacker, 3_000, 11);
     let result = System::new(config, &traces, vec![0, 1, 2]).run();
 
     // The pinned attacker's preventive actions all land on channel 1.
@@ -114,8 +115,9 @@ fn channel_interleaved_attacker_is_caught_by_cross_channel_scoring() {
     let mut bh = config.effective_breakhammer_config();
     bh.threat_threshold = 8.0;
     config.breakhammer_config = Some(bh);
-    let attacker = AttackerProfile::paper_default().interleaved_channels();
-    let traces = attack_traces(&config, attacker, 3_000, 11);
+    let attacker =
+        ComposedAttacker::new(ClassicPattern::paper_default(), NeighborPlacement::interleaved());
+    let traces = attack_traces(&config, &attacker, 3_000, 11);
     let result = System::new(config, &traces, vec![0, 1, 2]).run();
 
     let actions: Vec<u64> =
@@ -135,8 +137,9 @@ fn channel_interleaved_attacker_is_caught_by_cross_channel_scoring() {
 fn breakhammer_still_reduces_actions_on_two_channels() {
     let mut base = SystemConfig::fast_test(MechanismKind::Graphene, 128, false).with_channels(2);
     base.instructions_per_core = 10_000;
-    let attacker = AttackerProfile::paper_default().interleaved_channels();
-    let traces = attack_traces(&base, attacker, 3_000, 23);
+    let attacker =
+        ComposedAttacker::new(ClassicPattern::paper_default(), NeighborPlacement::interleaved());
+    let traces = attack_traces(&base, &attacker, 3_000, 23);
     let without = System::new(base.clone(), &traces, vec![0, 1, 2]).run();
     assert!(without.preventive_actions > 0, "the attacker must trigger Graphene");
 

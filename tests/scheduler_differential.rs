@@ -19,7 +19,7 @@ use breakhammer_suite::sim::{System, SystemConfig, TerminationReason};
 use proptest::prelude::*;
 
 mod common;
-use common::{attack_traces, attack_traces_composed, benign_traces, run_both};
+use common::{attack_traces, attack_traces_with, benign_traces, run_both};
 
 fn assert_identical(config: SystemConfig, traces: &[Trace], required: Vec<usize>) {
     let label = format!("{} x{}ch", config.summary(), config.channels());
@@ -66,7 +66,7 @@ fn scenario_catalog_is_identical_across_kernels() {
         for breakhammer in [false, true] {
             let mut config = SystemConfig::fast_test(MechanismKind::Graphene, 128, breakhammer);
             config.instructions_per_core = 6_000;
-            let traces = attack_traces_composed(&config, &scenario.attacker, 2_000, 100);
+            let traces = attack_traces_with(&config, &scenario.attacker, 2_000, 100);
             let victims = scenario.attacker.victim_rows(&config.geometry);
             let label = format!("scenario {} ({})", scenario.name, config.summary());
             let system = || {

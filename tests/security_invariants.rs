@@ -7,14 +7,20 @@
 use breakhammer_suite::mem::AddressMapping;
 use breakhammer_suite::mitigation::MechanismKind;
 use breakhammer_suite::sim::{System, SystemConfig};
-use breakhammer_suite::workloads::{AttackerProfile, MixBuilder, MixClass, TraceGenerator};
+use breakhammer_suite::workloads::{
+    AttackerKind, ClassicPattern, ComposedAttacker, MixBuilder, MixClass, NeighborPlacement,
+    TraceGenerator,
+};
 
 fn attacked_traces(config: &SystemConfig) -> breakhammer_suite::workloads::WorkloadMix {
     let generator = TraceGenerator::new(config.geometry.clone(), AddressMapping::paper_default());
     let mut builder = MixBuilder::new(generator)
         // A tight double-sided hammer concentrates every activation on one
         // victim row, which is the stress case for the protection invariant.
-        .with_attacker(AttackerProfile { bubbles: 0, ..AttackerProfile::double_sided() });
+        .with_composed_attacker(ComposedAttacker::new(
+            ClassicPattern::new(AttackerKind::double_sided()),
+            NeighborPlacement::new(),
+        ));
     builder.benign_entries = 3_000;
     builder.attacker_entries = 3_000;
     builder.build(MixClass::attack_classes()[0], 0, 13)
