@@ -106,6 +106,9 @@ fn seal_intact(line: &str) -> bool {
 #[derive(Debug, Clone, PartialEq)]
 enum Json {
     Str(String),
+    /// An unsigned integer, kept exact: an `f64` loses precision above 2^53,
+    /// and seeds span all of `u64`.
+    UInt(u64),
     Num(f64),
     Bool(bool),
     Null,
@@ -140,6 +143,7 @@ fn push_field(out: &mut String, key: &str, value: &Json) {
             escape_into(out, s);
             out.push('"');
         }
+        Json::UInt(v) => out.push_str(&v.to_string()),
         // `{}` on finite f64 round-trips exactly and never uses an exponent;
         // non-finite values are not valid JSON, so they degrade to null (the
         // line then fails record parsing and the cell reruns on resume).
@@ -231,11 +235,13 @@ impl<'a> Scanner<'a> {
                 }) {
                     self.pos += 1;
                 }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()?
-                    .parse::<f64>()
-                    .ok()
-                    .map(Json::Num)
+                let token = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
+                // A bare digit run is an exact integer; anything else (sign,
+                // fraction, exponent, or past `u64::MAX`) reads as an f64.
+                match token.parse::<u64>() {
+                    Ok(v) => Some(Json::UInt(v)),
+                    Err(_) => token.parse::<f64>().ok().map(Json::Num),
+                }
             }
         }
     }
@@ -367,13 +373,13 @@ pub fn termination_status(termination: TerminationReason) -> &'static str {
 pub fn record_line(cell: &str, seed: u64, attack: bool, r: &RunRecord) -> String {
     let mut out = String::with_capacity(512);
     out.push('{');
-    push_field(&mut out, "schema", &Json::Num(SCHEMA_VERSION as f64));
+    push_field(&mut out, "schema", &Json::UInt(SCHEMA_VERSION));
     push_field(&mut out, "status", &Json::Str(termination_status(r.termination).to_string()));
     push_field(&mut out, "cell", &Json::Str(cell.to_string()));
     push_field(&mut out, "mechanism", &Json::Str(r.mechanism.to_string()));
-    push_field(&mut out, "nrh", &Json::Num(r.nrh as f64));
+    push_field(&mut out, "nrh", &Json::UInt(r.nrh));
     push_field(&mut out, "breakhammer", &Json::Bool(r.breakhammer));
-    push_field(&mut out, "seed", &Json::Num(seed as f64));
+    push_field(&mut out, "seed", &Json::UInt(seed));
     push_field(&mut out, "mix", &Json::Str(r.mix_name.clone()));
     push_field(&mut out, "mix_class", &Json::Str(r.mix_class.clone()));
     let scenario = match &r.scenario {
@@ -385,18 +391,18 @@ pub fn record_line(cell: &str, seed: u64, attack: bool, r: &RunRecord) -> String
     push_field(&mut out, "weighted_speedup", &Json::Num(r.weighted_speedup));
     push_field(&mut out, "max_slowdown", &Json::Num(r.max_slowdown));
     push_field(&mut out, "energy_nj", &Json::Num(r.energy_nj));
-    push_field(&mut out, "preventive_actions", &Json::Num(r.preventive_actions as f64));
+    push_field(&mut out, "preventive_actions", &Json::UInt(r.preventive_actions));
     push_field(&mut out, "latency_p50_ns", &Json::Num(r.latency_ns[0]));
     push_field(&mut out, "latency_p90_ns", &Json::Num(r.latency_ns[1]));
     push_field(&mut out, "latency_p99_ns", &Json::Num(r.latency_ns[2]));
     push_field(&mut out, "attacker_identified", &Json::Bool(r.attacker_identified));
     push_field(&mut out, "benign_misidentified", &Json::Bool(r.benign_misidentified));
-    push_field(&mut out, "bitflips", &Json::Num(r.bitflips as f64));
-    push_field(&mut out, "max_victim_disturbance", &Json::Num(r.max_victim_disturbance as f64));
-    push_field(&mut out, "flips_raw", &Json::Num(r.flips_raw as f64));
-    push_field(&mut out, "flips_corrected", &Json::Num(r.flips_corrected as f64));
-    push_field(&mut out, "flips_detected", &Json::Num(r.flips_detected as f64));
-    push_field(&mut out, "flips_silent", &Json::Num(r.flips_silent as f64));
+    push_field(&mut out, "bitflips", &Json::UInt(r.bitflips as u64));
+    push_field(&mut out, "max_victim_disturbance", &Json::UInt(r.max_victim_disturbance));
+    push_field(&mut out, "flips_raw", &Json::UInt(r.flips_raw));
+    push_field(&mut out, "flips_corrected", &Json::UInt(r.flips_corrected));
+    push_field(&mut out, "flips_detected", &Json::UInt(r.flips_detected));
+    push_field(&mut out, "flips_silent", &Json::UInt(r.flips_silent));
     push_field(&mut out, "attack_success", &Json::Bool(r.attack_success));
     push_field(&mut out, "termination", &Json::Str(r.termination.label().to_string()));
     let report = match &r.livelock {
@@ -415,10 +421,10 @@ pub fn record_line(cell: &str, seed: u64, attack: bool, r: &RunRecord) -> String
 pub fn failed_line(cell: &str, seed: u64, attack: bool, error: &str) -> String {
     let mut out = String::with_capacity(256);
     out.push('{');
-    push_field(&mut out, "schema", &Json::Num(SCHEMA_VERSION as f64));
+    push_field(&mut out, "schema", &Json::UInt(SCHEMA_VERSION));
     push_field(&mut out, "status", &Json::Str("failed".to_string()));
     push_field(&mut out, "cell", &Json::Str(cell.to_string()));
-    push_field(&mut out, "seed", &Json::Num(seed as f64));
+    push_field(&mut out, "seed", &Json::UInt(seed));
     push_field(&mut out, "attack", &Json::Bool(attack));
     push_field(&mut out, "error", &Json::Str(error.to_string()));
     out.push('}');
@@ -436,9 +442,14 @@ impl CellRecord {
         let map = parse_object(line)?;
         let num = |key: &str| match map.get(key) {
             Some(Json::Num(v)) => Some(*v),
+            Some(Json::UInt(v)) => Some(*v as f64),
             _ => None,
         };
-        let int = |key: &str| num(key).filter(|v| *v >= 0.0).map(|v| v as u64);
+        let int = |key: &str| match map.get(key) {
+            Some(Json::UInt(v)) => Some(*v),
+            Some(Json::Num(v)) if *v >= 0.0 => Some(*v as u64),
+            _ => None,
+        };
         let string = |key: &str| match map.get(key) {
             Some(Json::Str(s)) => Some(s.clone()),
             _ => None,
@@ -517,7 +528,7 @@ impl FailedCell {
             _ => None,
         };
         match map.get("schema") {
-            Some(Json::Num(v)) if *v == SCHEMA_VERSION as f64 => {}
+            Some(Json::UInt(SCHEMA_VERSION)) => {}
             _ => return None,
         }
         if string("status")? != "failed" {
@@ -1252,6 +1263,13 @@ mod tests {
         let parsed = CellRecord::parse(&line).expect("line parses");
         assert_eq!(parsed.scenario, None);
         assert!(!parsed.attack);
+
+        // Seeds beyond f64's 53-bit mantissa survive exactly.
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let line = record_line("deadbeef/HHHA-00/x", seed, true, &benign);
+            assert!(line.contains(&format!("\"seed\":{seed},")), "{line}");
+            assert_eq!(CellRecord::parse(&line).expect("line parses").seed, seed);
+        }
     }
 
     #[test]
@@ -1341,6 +1359,13 @@ mod tests {
         }
         let ok = record_line("a/m/1", 1, true, &sample_record());
         assert_eq!(FailedCell::parse(&ok), None, "a completed line is not a failure");
+
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let line = failed_line("a/m/x", seed, true, "boom");
+            assert!(FailedCell::parse(&line).is_some(), "{line}");
+            let map = parse_object(&line).expect("line parses");
+            assert_eq!(map.get("seed"), Some(&Json::UInt(seed)), "{line}");
+        }
     }
 
     #[test]

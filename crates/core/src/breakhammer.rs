@@ -22,10 +22,9 @@ use crate::config::BreakHammerConfig;
 use crate::scores::InterleavedScores;
 use bh_dram::{Cycle, ThreadId};
 use bh_mitigation::ScoreAttribution;
-use serde::{Deserialize, Serialize};
 
 /// Running statistics exposed for experiments and tests.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BreakHammerStats {
     /// Preventive actions observed.
     pub actions_observed: u64,
@@ -34,7 +33,6 @@ pub struct BreakHammerStats {
     /// [`BreakHammer::declare_channels`], so zero-action channels report an
     /// explicit 0 instead of being absent). The scores themselves are
     /// system-wide — this only records where the triggering tracker lived.
-    #[serde(default)]
     pub actions_per_channel: Vec<u64>,
     /// Suspect identifications (at most one per thread per window).
     pub suspect_identifications: u64,
@@ -45,7 +43,7 @@ pub struct BreakHammerStats {
 }
 
 /// Per-thread throttling state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ThreadState {
     /// Row activations performed since the last preventive action (Alg. 1's
     /// `Activations`); reset whenever scores are attributed.

@@ -8,10 +8,9 @@
 //! monitoring without ever querying cold counters.
 
 use bh_dram::ThreadId;
-use serde::{Deserialize, Serialize};
 
 /// Two time-interleaved sets of per-thread score counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterleavedScores {
     sets: [Vec<f64>; 2],
     active: usize,

@@ -21,7 +21,6 @@
 use crate::cache::{AccessOutcome, LastLevelCache, MissToken, RejectReason};
 use crate::trace::{CompiledTrace, Trace};
 use bh_dram::{Cycle, ThreadId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Description of a core that cannot make architectural progress, produced by
@@ -61,7 +60,7 @@ pub enum CoreProgress {
 }
 
 /// Core configuration (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Instructions dispatched per cycle.
     pub width: usize,
@@ -85,7 +84,7 @@ impl Default for CoreConfig {
 }
 
 /// Per-core statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions retired.
     pub retired_instructions: u64,

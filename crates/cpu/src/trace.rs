@@ -7,12 +7,10 @@
 //! synthetic trace can drive an arbitrarily long simulation.
 
 use bh_dram::PhysAddr;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One trace record: `bubbles` non-memory instructions, then one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Number of non-memory instructions preceding the access.
     pub bubbles: u32,
@@ -50,7 +48,7 @@ impl TraceEntry {
 }
 
 /// A cyclic instruction trace for one hardware thread.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
 }
@@ -97,58 +95,11 @@ impl Trace {
         self.entries.len() as f64 * 1000.0 / self.instructions_per_pass() as f64
     }
 
-    /// Serialises the trace to a compact binary representation
-    /// (13 bytes per record).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + self.entries.len() * 13);
-        buf.put_u64(self.entries.len() as u64);
-        for e in &self.entries {
-            buf.put_u32(e.bubbles);
-            buf.put_u64(e.addr.0);
-            buf.put_u8(u8::from(e.is_write) | (u8::from(e.uncached) << 1));
-        }
-        buf.freeze()
-    }
-
     /// Compiles the trace into its shareable replay representation (see
     /// [`CompiledTrace`]). Compile once per (mix, seed, geometry); every
     /// subsequent share is a reference-count bump.
     pub fn compile(&self) -> CompiledTrace {
         CompiledTrace::from(self)
-    }
-
-    /// Parses a trace previously produced by [`Trace::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns a descriptive error if the buffer is truncated or empty.
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self, String> {
-        if bytes.remaining() < 8 {
-            return Err("trace buffer too short for header".to_string());
-        }
-        let count = bytes.get_u64() as usize;
-        if count == 0 {
-            return Err("trace must contain at least one record".to_string());
-        }
-        if bytes.remaining() < count * 13 {
-            return Err(format!(
-                "trace buffer truncated: need {} bytes, have {}",
-                count * 13,
-                bytes.remaining()
-            ));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let bubbles = bytes.get_u32();
-            let addr = PhysAddr(bytes.get_u64());
-            let flags = bytes.get_u8();
-            entries.push(TraceEntry {
-                bubbles,
-                addr,
-                is_write: flags & 0b01 != 0,
-                uncached: flags & 0b10 != 0,
-            });
-        }
-        Ok(Trace { entries })
     }
 }
 
@@ -156,14 +107,13 @@ impl Trace {
 /// immutable, atomically reference-counted slice.
 ///
 /// Compilation is the split between workload *generation* and workload
-/// *replay*: a [`Trace`] is built (or parsed) once per (mix, seed, geometry)
+/// *replay*: a [`Trace`] is built once per (mix, seed, geometry)
 /// and compiled once, and the resulting `CompiledTrace` is shared by every
 /// simulated system that replays it — across the configurations of a
 /// campaign matrix, across repeated runs of the same mix, and across worker
 /// threads. Cloning is a reference-count bump; no per-run deep copy of the
-/// record vector ever happens. The record layout (and the 13-byte on-disk
-/// format via [`Trace::to_bytes`] / [`Trace::from_bytes`]) is unchanged from
-/// `Trace` — compilation freezes, it does not re-encode.
+/// record vector ever happens. The record layout is unchanged from `Trace`
+/// — compilation freezes, it does not re-encode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledTrace {
     entries: Arc<[TraceEntry]>,
@@ -214,7 +164,7 @@ impl CompiledTrace {
         Arc::ptr_eq(&self.entries, &other.entries)
     }
 
-    /// Reconstructs an owned [`Trace`] (for serialisation or mutation).
+    /// Reconstructs an owned [`Trace`] (for mutation).
     pub fn to_trace(&self) -> Trace {
         Trace::new(self.entries.to_vec())
     }
@@ -247,25 +197,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.entry(0), t.entry(3));
         assert_eq!(t.entry(2), t.entry(5));
-    }
-
-    #[test]
-    fn byte_roundtrip_preserves_the_trace() {
-        let t = sample();
-        let bytes = t.to_bytes();
-        let back = Trace::from_bytes(bytes).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn from_bytes_rejects_truncated_buffers() {
-        let t = sample();
-        let bytes = t.to_bytes();
-        let truncated = bytes.slice(0..bytes.len() - 1);
-        assert!(Trace::from_bytes(truncated).is_err());
-        assert!(Trace::from_bytes(Bytes::from_static(&[0, 0])).is_err());
-        let empty_header = Bytes::copy_from_slice(&0u64.to_be_bytes());
-        assert!(Trace::from_bytes(empty_header).is_err());
     }
 
     #[test]

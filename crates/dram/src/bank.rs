@@ -8,11 +8,10 @@
 
 use crate::command::CommandKind;
 use crate::types::Cycle;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Row-buffer state of one bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowState {
     /// All rows are closed (the bank is precharged).
     Closed,
@@ -37,7 +36,7 @@ impl RowState {
 }
 
 /// Timing and row-buffer state of a single DRAM bank.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BankState {
     /// Current row-buffer state.
     pub row: RowState,
@@ -93,7 +92,7 @@ impl Default for BankState {
 }
 
 /// Timing state shared by the banks of one bank group.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BankGroupState {
     /// Earliest ACT to any bank of this group (tRRD_L).
     pub next_act: Cycle,
@@ -104,7 +103,7 @@ pub struct BankGroupState {
 }
 
 /// Timing state shared by all banks of one rank.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RankState {
     /// Earliest ACT to any bank of this rank (tRRD_S, tFAW, tRFC, tRFM).
     pub next_act: Cycle,

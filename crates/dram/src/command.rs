@@ -8,11 +8,10 @@
 //! preventive actions are visible in statistics and energy accounting).
 
 use crate::geometry::{BankAddr, DramLocation, RowAddr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a DRAM command, without its target coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Activate (open) a row into the bank's row buffer.
     Activate,
@@ -84,7 +83,7 @@ impl fmt::Display for CommandKind {
 }
 
 /// A fully-addressed DRAM command ready to be issued to a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramCommand {
     /// What the command does.
     pub kind: CommandKind,

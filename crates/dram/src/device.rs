@@ -15,7 +15,6 @@ use crate::geometry::{BankAddr, DramGeometry, RowAddr};
 use crate::rowhammer::RowHammerTracker;
 use crate::timing::TimingParams;
 use crate::types::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Depth of the rolling activation window used for the tFAW constraint.
 const FAW_DEPTH: usize = 4;
@@ -34,7 +33,7 @@ pub struct CommandOutcome {
 /// Per-command-kind issue counters.
 // bh-exhaustive: `accumulate` destructures every field; bh_analyze rule X1
 // rejects any `..` at a `DramStats { .. }` use site.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// ACT commands issued.
     pub activates: u64,
@@ -100,7 +99,7 @@ impl DramStats {
 }
 
 /// Configuration knobs of the device model that are not timing parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// How many of the hottest aggressor rows the in-DRAM logic preventively
     /// refreshes per RFM (or PRAC back-off) window.

@@ -22,11 +22,10 @@
 //! action counts.
 
 use crate::geometry::RowAddr;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How disturbance-threshold crossings turn into bit-flips.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum FaultModel {
     /// The legacy hard cliff: exactly one would-be flip event when a row's
     /// disturbance reaches `N_RH`. This is the default and is bit-identical
@@ -55,7 +54,7 @@ impl FaultModel {
 }
 
 /// The ECC scheme layered over the raw flips.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EccMode {
     /// No ECC: every raw flip is silent corruption.
     #[default]
@@ -66,13 +65,11 @@ pub enum EccMode {
 }
 
 /// The fault-injection knobs carried by the system configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultConfig {
     /// How threshold crossings turn into flips.
-    #[serde(default)]
     pub model: FaultModel,
     /// The ECC scheme classifying the flips.
-    #[serde(default)]
     pub ecc: EccMode,
 }
 
@@ -97,7 +94,7 @@ impl FaultConfig {
 
 /// What counts as a successful attack on the watched victim rows (declared
 /// by a workload's victim layout; evaluated against the end-of-run flips).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SuccessCriterion {
     /// At least one watched victim row took a flip that escaped ECC — the
     /// key-table/page-table threat model: corrected or detected flips do

@@ -25,14 +25,13 @@ use crate::fault::{hash_coords, hash_unit, FaultModel};
 use crate::flat::FlatMap;
 use crate::geometry::{DramGeometry, RowAddr};
 use crate::types::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Hash-domain tag separating per-row threshold sampling from flip draws.
 const NRH_SAMPLE_TAG: u64 = 0x6e72_685f;
 
 /// A (potential) RowHammer bitflip event: a victim row accumulated `N_RH`
 /// disturbance before being refreshed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitflipEvent {
     /// The victim row that would have flipped.
     pub victim: RowAddr,

@@ -6,7 +6,6 @@
 //! prevents a whole class of unit-mixing bugs (e.g. adding a CPU-cycle count to
 //! a DRAM-cycle deadline).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point in time measured in **DRAM command-clock cycles** (nCK).
@@ -33,7 +32,7 @@ pub type CycleDelta = u64;
 /// assert_eq!(t.index(), 2);
 /// assert_eq!(format!("{t}"), "T2");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub usize);
 
 impl ThreadId {
@@ -67,7 +66,7 @@ impl From<usize> for ThreadId {
 /// assert_eq!(a.cache_line(64), 0x100);
 /// assert_eq!(a.align_down(64).0, 0x4000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysAddr(pub u64);
 
 impl PhysAddr {
@@ -108,7 +107,7 @@ impl From<u64> for PhysAddr {
 }
 
 /// Direction of a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A demand read (load miss, instruction fetch miss, …).
     Read,

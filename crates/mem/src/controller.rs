@@ -27,13 +27,12 @@ use bh_dram::{
     AccessKind, BankAddr, CommandKind, Cycle, DramChannel, DramCommand, DramLocation, ThreadId,
 };
 use bh_mitigation::{ActionSink, ActionView, ActivationEvent, TriggerMechanism};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Counters describing the controller's activity.
 // bh-exhaustive: `accumulate` destructures every field; bh_analyze rule X1
 // rejects any `..` at a `ControllerStats { .. }` use site.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Demand reads completed.
     pub reads_served: u64,

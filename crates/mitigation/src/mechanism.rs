@@ -8,7 +8,6 @@ use crate::{
     rega::Rega, rfm::Rfm, twice::Twice,
 };
 use bh_dram::{Cycle, DramGeometry, RowAddr, TimingAdjustment, TimingParams};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A RowHammer mitigation mechanism's trigger algorithm.
@@ -98,7 +97,7 @@ pub trait TriggerMechanism: fmt::Debug + Send {
 
 /// Identifier of a mitigation mechanism, used by configuration files and the
 /// experiment harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MechanismKind {
     /// No RowHammer mitigation (the "no defense" baseline).
     None,

@@ -12,7 +12,6 @@ use bh_cpu::{CacheConfig, CoreConfig};
 use bh_dram::{DeviceConfig, DramGeometry, EnergyParams, FaultConfig, TimingParams};
 use bh_mem::MemControllerConfig;
 use bh_mitigation::MechanismKind;
-use serde::{Deserialize, Serialize};
 
 /// Forward-progress watchdog: detects livelocked runs deterministically, in
 /// simulated time only (no wall clock anywhere in the sim crates).
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// Optional deterministic budgets (max epochs, max preventive actions) yield
 /// [`TerminationReason::BudgetExceeded`](crate::TerminationReason::BudgetExceeded)
 /// instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Master switch. When off, runs keep the historical behaviour (burn to
     /// `max_dram_cycles` on no progress).
@@ -80,7 +79,7 @@ impl WatchdogConfig {
 /// force pathological behaviour without touching any non-deterministic
 /// machinery. All fields default to "off", leaving behaviour (and the golden
 /// digests) bit-for-bit unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// From this DRAM cycle on, completed memory responses are dropped
     /// instead of filling the LLC: every core eventually hard-stalls behind
@@ -91,7 +90,7 @@ pub struct ChaosConfig {
 }
 
 /// Configuration of one simulated system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of cores / hardware threads (4 in Table 1).
     pub cores: usize,
@@ -130,16 +129,13 @@ pub struct SystemConfig {
     /// Fault-injection model: how disturbance-threshold crossings turn into
     /// bit-flips, and the ECC scheme classifying them. The default (hard
     /// threshold, no ECC) is bit-identical to the pre-fault-model simulator.
-    #[serde(default)]
     pub fault: FaultConfig,
     /// Forward-progress watchdog: livelock detection and deterministic run
     /// budgets (see [`WatchdogConfig`]). Never fires on healthy runs, so the
     /// default-enabled watchdog leaves all results bit-identical.
-    #[serde(default)]
     pub watchdog: WatchdogConfig,
     /// Deterministic chaos injection for robustness tests (all off by
     /// default; see [`ChaosConfig`]).
-    #[serde(default)]
     pub chaos: ChaosConfig,
 }
 

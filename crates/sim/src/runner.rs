@@ -9,11 +9,10 @@ use bh_cpu::{CompiledTrace, Trace};
 use bh_mitigation::MechanismKind;
 use bh_stats::AppPerf;
 use bh_workloads::WorkloadMix;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The evaluation of one workload mix under one system configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MixEvaluation {
     /// Mix name (e.g. `"HHHA-03"`).
     pub mix_name: String,

@@ -2,8 +2,6 @@
 //! plot of Fig. 19), standard deviation and confidence intervals (the error
 //! bars / bands of Figs. 2 and 10).
 
-use serde::{Deserialize, Serialize};
-
 /// Percentile of a sample set using linear interpolation between order
 /// statistics (the same convention as common plotting libraries).
 ///
@@ -48,7 +46,7 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 /// Five-number summary plus IQR whiskers, matching the paper's
 /// box-and-whisker description (footnote 12): box is Q1..Q3, whiskers mark
 /// the central 1.5·IQR range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxPlot {
     /// Smallest sample.
     pub min: f64,
@@ -99,7 +97,7 @@ impl BoxPlot {
 }
 
 /// Mean, standard deviation and a confidence interval of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub n: usize,

@@ -11,15 +11,13 @@
 //! composes the two into the §8.1 attacker. The tests below pin the composed
 //! classic attacker byte for byte against the pre-framework generator.
 
-use serde::{Deserialize, Serialize};
-
 /// The shape of the hammering pattern.
 ///
 /// Marked `#[non_exhaustive]`: new kinds may appear without a semver break,
 /// so match with a wildcard arm and construct through the ctor fns
 /// ([`AttackerKind::double_sided`], [`AttackerKind::many_sided`],
 /// [`AttackerKind::multi_bank`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AttackerKind {
     /// Classic double-sided hammering: alternate between the two aggressor
@@ -63,7 +61,7 @@ impl AttackerKind {
 ///
 /// Marked `#[non_exhaustive]`: construct through [`ChannelTarget::pinned`] /
 /// [`ChannelTarget::interleave`] and match with a wildcard arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ChannelTarget {
     /// All hammering traffic concentrates on one channel — the adversarial
@@ -320,7 +318,7 @@ mod byte_identity {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// ClassicPattern × NeighborPlacement matches the legacy generator
-        /// with no byte of trace difference, for every kind × channel target,
+        /// record for record, for every kind × channel target,
         /// on both geometries and any channel count.
         #[test]
         fn facade_traces_are_byte_identical_to_the_legacy_generator(
@@ -354,7 +352,7 @@ mod byte_identity {
             );
             let new = attacker.trace(&geometry, mapping, entries, seed);
             let old = reference_trace(kind, bubbles, target, &geometry, mapping, entries, seed);
-            prop_assert_eq!(new.to_bytes(), old.to_bytes());
+            prop_assert_eq!(new, old);
         }
     }
 }

@@ -1,13 +1,12 @@
 //! Property-based tests (proptest) on the core data structures and
-//! invariants: address-mapping bijectivity, trace serialisation, metric
-//! bounds, Misra–Gries guarantees and BreakHammer score conservation.
+//! invariants: address-mapping bijectivity, metric bounds, Misra–Gries
+//! guarantees and BreakHammer score conservation.
 
 // The proptest reference models use HashMap as ground truth on purpose:
 // they must be an independent implementation of the flat tables.
 #![allow(clippy::disallowed_types)]
 
 use breakhammer_suite::breakhammer::{BreakHammer, BreakHammerConfig};
-use breakhammer_suite::cpu::{Trace, TraceEntry};
 use breakhammer_suite::dram::{BankAddr, DramGeometry, DramLocation, PhysAddr, ThreadId};
 use breakhammer_suite::mem::AddressMapping;
 use breakhammer_suite::mitigation::{MisraGries, ScoreAttribution};
@@ -50,29 +49,6 @@ proptest! {
         };
         let addr = mapping.encode(&loc, &geometry);
         prop_assert_eq!(mapping.decode(addr, &geometry), loc);
-    }
-
-    /// Trace binary serialisation round-trips arbitrary traces.
-    #[test]
-    fn trace_serialisation_roundtrips(
-        entries in proptest::collection::vec(
-            (0u32..200, 0u64..1u64 << 40, any::<bool>(), any::<bool>()),
-            1..200,
-        )
-    ) {
-        let trace = Trace::new(
-            entries
-                .iter()
-                .map(|(bubbles, addr, is_write, uncached)| TraceEntry {
-                    bubbles: *bubbles,
-                    addr: PhysAddr(*addr),
-                    is_write: *is_write,
-                    uncached: *uncached,
-                })
-                .collect(),
-        );
-        let back = Trace::from_bytes(trace.to_bytes()).unwrap();
-        prop_assert_eq!(trace, back);
     }
 
     /// Weighted speedup of an n-application mix is bounded by n, and the
