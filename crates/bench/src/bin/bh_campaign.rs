@@ -1,10 +1,14 @@
 //! `bh-campaign` — checkpointed campaign sweeps over the (mechanism × N_RH ×
-//! ±BreakHammer × mix × seed) grid, with resume.
+//! ±BreakHammer × mix × seed) grid, with resume, and the paper's figures
+//! rendered from such a store.
 //!
 //! ```text
 //! bh_campaign sweep  --store results.jsonl [options]   start a fresh sweep
 //! bh_campaign resume --store results.jsonl [options]   continue an interrupted sweep
 //! bh_campaign report --store results.jsonl [--strict]  aggregate a store into a table
+//! bh_campaign figure <id|all> --store figures.jsonl [--max-cells N] [--print-config]
+//!                                                      evaluate the cells a figure
+//!                                                      lacks, then print it
 //! ```
 //!
 //! Options (sweep/resume):
@@ -21,6 +25,19 @@
 //! --strict            (report) exit nonzero while any cell is non-ok —
 //!                     failed, livelocked or budget-cut
 //! ```
+//!
+//! `report` refuses (exit 1, naming the cell ids) a store in which one
+//! (mechanism, N_RH, ±BreakHammer) row would average the same (mix, seed)
+//! under two different cell ids — results of sweeps run at different
+//! settings, which the row would silently mix.
+//!
+//! `figure` takes a figure id (`fig02`, `fig05`–`fig19`, `ablations`,
+//! `scenarios`, `hw_cost`, `storage_overheads`, `table3`) or `all`. It
+//! evaluates only the cells the store lacks — figures that read the same
+//! cells share them — and prints the figures once every cell is in the
+//! store; `--max-cells` stops early, and rerunning the command resumes.
+//! Analytical figures need no `--store`. A cell that panics makes `figure`
+//! exit nonzero and list it; the next run retries it.
 //!
 //! The experiment scale (instructions, mixes per class, channels, workers, …)
 //! comes from the usual `BH_*` environment variables; `resume` must be run
@@ -44,8 +61,9 @@
 // bh-bench is outside the digest-pinned set.
 #![allow(clippy::disallowed_types)]
 
-use bh_bench::campaign::{report_table, CampaignSpec, ResultStore};
-use bh_bench::{print_results, Scale};
+use bh_bench::campaign::{report_conflicts, report_table, CampaignSpec, ResultStore};
+use bh_bench::figures::{self, render, FigureJob};
+use bh_bench::Scale;
 use bh_mitigation::MechanismKind;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -53,7 +71,8 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: bh_campaign <sweep|resume|report> --store PATH \
 [--mechanisms LIST] [--nrh LIST] [--seeds LIST] [--breakhammer off|on|both] \
-[--benign] [--max-cells N] [--strict]";
+[--benign] [--max-cells N] [--strict]
+       bh_campaign figure <id|all> [--store PATH] [--max-cells N] [--print-config]";
 
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
@@ -234,9 +253,25 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             if records.is_empty() {
                 return Err(format!("{} holds no completed cells", options.store.display()));
             }
-            print_results(
-                &format!("Campaign report ({ok_count} ok cells)"),
-                &report_table(&records),
+            let conflicts = report_conflicts(&records);
+            if !conflicts.is_empty() {
+                // Not a usage error: the store mixes sweeps run at different
+                // settings, and a row would average them together.
+                eprintln!(
+                    "bh_campaign: {} holds {} (mix, seed) pair(s) under more than one cell id \
+                     in the same (mechanism, N_RH, BreakHammer) row — results of sweeps run \
+                     at different settings; report one sweep per store:",
+                    options.store.display(),
+                    conflicts.len()
+                );
+                for conflict in &conflicts {
+                    eprintln!("  {conflict}");
+                }
+                return Ok(ExitCode::FAILURE);
+            }
+            print!(
+                "{}",
+                render(&format!("Campaign report ({ok_count} ok cells)"), &report_table(&records))
             );
             let verdicts = ResultStore::verdict_cells(&options.store).map_err(|e| e.to_string())?;
             if !verdicts.is_empty() {
@@ -270,6 +305,70 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
+        "figure" => figure(rest),
         other => Err(format!("unknown command {other:?}")),
     }
+}
+
+fn figure(args: &[String]) -> Result<ExitCode, String> {
+    let Some((id, rest)) = args.split_first() else {
+        return Err("figure needs a figure id or `all`".to_string());
+    };
+    let selected = figures::find(id)?;
+    let mut job = FigureJob {
+        scale: Scale::from_env(),
+        store: None,
+        max_cells: None,
+        print_config: false,
+        // Test hook: cells whose mix name contains the pattern panic.
+        force_panic_mix: bh_core::knobs::raw("BH_TEST_FORCE_PANIC_MIX").filter(|s| !s.is_empty()),
+    };
+    let mut iter = rest.iter();
+    while let Some(flag) = iter.next() {
+        let mut value = || iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--store" => job.store = Some(PathBuf::from(value()?)),
+            "--max-cells" => {
+                job.max_cells =
+                    Some(value()?.parse().map_err(|_| "--max-cells needs a number".to_string())?)
+            }
+            "--print-config" => job.print_config = true,
+            other => return Err(format!("unknown option {other:?}")),
+        }
+    }
+    let report = job.run(&selected)?;
+    let summary = &report.summary;
+    if summary.total_cells > 0 {
+        eprintln!(
+            "bh_campaign: figure {id}: {} cells: {} evaluated, {} already in store, {} failed, \
+             {} deferred",
+            summary.total_cells,
+            summary.evaluated_cells,
+            summary.skipped_cells,
+            summary.failed_cells,
+            summary.deferred_cells,
+        );
+    }
+    // Cells are only failed or deferred when there is a store.
+    let store = job.store.as_deref().unwrap_or(std::path::Path::new("")).display();
+    if !report.failed.is_empty() {
+        eprintln!(
+            "bh_campaign: {} cell(s) have no record; retry with: \
+             bh_campaign figure {id} --store {store}",
+            report.failed.len()
+        );
+        for cell in &report.failed {
+            eprintln!("  {}: {}", cell.cell, cell.error);
+        }
+        return Ok(ExitCode::FAILURE);
+    }
+    if summary.deferred_cells > 0 {
+        eprintln!(
+            "bh_campaign: nothing rendered yet; continue with: \
+             bh_campaign figure {id} --store {store}"
+        );
+        return Ok(ExitCode::SUCCESS);
+    }
+    print!("{}", report.output);
+    Ok(ExitCode::SUCCESS)
 }

@@ -21,7 +21,7 @@
 // before display, and bh-bench is outside the digest-pinned set.
 #![allow(clippy::disallowed_types)]
 
-use crate::experiments::{evaluate_jobs, paper_config, EvalHooks, RunRecord, Scale};
+use crate::experiments::{config_grid, evaluate_jobs, EvalHooks, RunRecord, Scale};
 use crate::Campaign;
 use bh_mitigation::MechanismKind;
 use bh_sim::{SystemConfig, TerminationReason};
@@ -956,18 +956,7 @@ impl CampaignSpec {
 
     /// The configuration matrix at a given scale (which carries the seed).
     fn configs(&self, scale: &Scale) -> Vec<SystemConfig> {
-        let mut configs = Vec::new();
-        for &mechanism in &self.mechanisms {
-            for &nrh in &self.nrh_values {
-                for &bh in &self.breakhammer_options {
-                    if mechanism == MechanismKind::None && bh {
-                        continue;
-                    }
-                    configs.push(paper_config(mechanism, nrh, bh, scale));
-                }
-            }
-        }
-        configs
+        config_grid(scale, &self.mechanisms, &self.nrh_values, &self.breakhammer_options)
     }
 
     /// Runs the sweep, streaming each evaluated cell to `store` and skipping
@@ -987,9 +976,9 @@ impl CampaignSpec {
         completed: &HashSet<String>,
         cell_limit: Option<usize>,
     ) -> SweepSummary {
-        let overseer = CellOverseer::from_env();
-        let mut summary = SweepSummary::default();
-        let mut budget = cell_limit.unwrap_or(usize::MAX);
+        let mut sweep = StoreSweep::new(store, completed, cell_limit);
+        sweep.force_panic_mix = self.force_panic_mix.as_deref();
+        sweep.force_spin_mix = self.force_spin_mix.as_deref();
         for &seed in &self.seeds {
             let mut scale = self.scale.clone();
             scale.seed = seed;
@@ -997,74 +986,129 @@ impl CampaignSpec {
             // gets its own campaign (and its own alone-IPC cache: same app
             // name, different trace).
             let mut campaign = Campaign::new(scale.clone());
-            let mixes = campaign.sweep_mixes(self.attack);
-            let configs = self.configs(&scale);
-            let mut jobs: Vec<(usize, usize)> = Vec::new();
-            let mut cells: Vec<String> = Vec::new();
-            for (c, config) in configs.iter().enumerate() {
-                let digest = config_digest(config);
-                for (m, mix) in mixes.iter().enumerate() {
-                    summary.total_cells += 1;
-                    let id = format!("{digest}/{}/{seed}", mix.name);
-                    if completed.contains(&id) {
-                        summary.skipped_cells += 1;
-                    } else if budget == 0 {
-                        summary.deferred_cells += 1;
-                    } else {
-                        budget -= 1;
-                        jobs.push((c, m));
-                        cells.push(id);
-                    }
+            sweep.evaluate(&mut campaign, &self.configs(&scale), self.attack);
+        }
+        sweep.summary
+    }
+}
+
+/// The store-backed evaluation loop behind every `bh_campaign` command:
+/// evaluates the (configuration × mix) cells of one campaign that the store
+/// does not hold yet and streams each finished cell to the store.
+/// [`CampaignSpec::run`] drives it once per seed, the `figure` command once per
+/// mix suite its figures read.
+pub(crate) struct StoreSweep<'a> {
+    store: &'a ResultStore,
+    /// Cells already settled in the store.
+    settled: &'a HashSet<String>,
+    /// Cells this sweep has already counted, so a cell that two calls (or
+    /// two equal configurations) name is evaluated once.
+    seen: HashSet<String>,
+    /// Cells this sweep may still evaluate.
+    budget: usize,
+    overseer: Option<CellOverseer>,
+    pub force_panic_mix: Option<&'a str>,
+    pub force_spin_mix: Option<&'a str>,
+    pub summary: SweepSummary,
+}
+
+impl<'a> StoreSweep<'a> {
+    /// A sweep appending to `store` that skips the `settled` cells and
+    /// evaluates at most `cell_limit` cells in total.
+    ///
+    /// When `BH_CELL_TIMEOUT_SECS` is set, a wall-clock [`CellOverseer`]
+    /// watches the in-flight cells.
+    pub fn new(
+        store: &'a ResultStore,
+        settled: &'a HashSet<String>,
+        cell_limit: Option<usize>,
+    ) -> Self {
+        StoreSweep {
+            store,
+            settled,
+            seen: HashSet::new(),
+            budget: cell_limit.unwrap_or(usize::MAX),
+            overseer: CellOverseer::from_env(),
+            force_panic_mix: None,
+            force_spin_mix: None,
+            summary: SweepSummary::default(),
+        }
+    }
+
+    /// Evaluates every cell of `configs` × `campaign`'s attack or benign
+    /// suite (at the campaign's seed) that is neither settled nor already
+    /// seen by this sweep, within the remaining budget.
+    pub fn evaluate(&mut self, campaign: &mut Campaign, configs: &[SystemConfig], attack: bool) {
+        let seed = campaign.scale().seed;
+        let mixes = campaign.sweep_mixes(attack);
+        let mut jobs: Vec<(usize, usize)> = Vec::new();
+        let mut cells: Vec<String> = Vec::new();
+        for (c, config) in configs.iter().enumerate() {
+            let digest = config_digest(config);
+            for (m, mix) in mixes.iter().enumerate() {
+                let id = format!("{digest}/{}/{seed}", mix.name);
+                if !self.seen.insert(id.clone()) {
+                    continue;
                 }
-            }
-            if jobs.is_empty() {
-                continue;
-            }
-            let cache = campaign.warmed_alone_cache().clone();
-            let on_claim = |i: usize| {
-                if let Some(overseer) = &overseer {
-                    overseer.begin(&cells[i]);
-                }
-            };
-            let on_cell = |i: usize, outcome: Result<&RunRecord, &str>| {
-                if let Some(overseer) = &overseer {
-                    overseer.finish(&cells[i]);
-                }
-                match outcome {
-                    Ok(record) => store.append(&record_line(&cells[i], seed, self.attack, record)),
-                    Err(error) => store.append(&failed_line(&cells[i], seed, self.attack, error)),
-                }
-            };
-            let hooks = EvalHooks {
-                force_panic_mix: self.force_panic_mix.as_deref(),
-                force_spin_mix: self.force_spin_mix.as_deref(),
-                on_claim: &on_claim,
-                on_record: &on_cell,
-            };
-            let results =
-                evaluate_jobs(&configs, &mixes, &jobs, &cache, scale.worker_threads, &hooks);
-            for result in &results {
-                match result {
-                    Ok(record) => {
-                        summary.evaluated_cells += 1;
-                        match record.termination {
-                            TerminationReason::Livelock => summary.livelock_cells += 1,
-                            TerminationReason::BudgetExceeded => summary.budget_cells += 1,
-                            TerminationReason::Completed | TerminationReason::CycleCutoff => {}
-                        }
-                    }
-                    Err(_) => summary.failed_cells += 1,
+                self.summary.total_cells += 1;
+                if self.settled.contains(&id) {
+                    self.summary.skipped_cells += 1;
+                } else if self.budget == 0 {
+                    self.summary.deferred_cells += 1;
+                } else {
+                    self.budget -= 1;
+                    jobs.push((c, m));
+                    cells.push(id);
                 }
             }
         }
-        summary
+        if jobs.is_empty() {
+            return;
+        }
+        let cache = campaign.warmed_alone_cache().clone();
+        let (store, overseer) = (self.store, &self.overseer);
+        let on_claim = |i: usize| {
+            if let Some(overseer) = overseer {
+                overseer.begin(&cells[i]);
+            }
+        };
+        let on_cell = |i: usize, outcome: Result<&RunRecord, &str>| {
+            if let Some(overseer) = overseer {
+                overseer.finish(&cells[i]);
+            }
+            match outcome {
+                Ok(record) => store.append(&record_line(&cells[i], seed, attack, record)),
+                Err(error) => store.append(&failed_line(&cells[i], seed, attack, error)),
+            }
+        };
+        let hooks = EvalHooks {
+            force_panic_mix: self.force_panic_mix,
+            force_spin_mix: self.force_spin_mix,
+            on_claim: &on_claim,
+            on_record: &on_cell,
+        };
+        let workers = campaign.scale().worker_threads;
+        let results = evaluate_jobs(configs, &mixes, &jobs, &cache, workers, &hooks);
+        for result in &results {
+            match result {
+                Ok(record) => {
+                    self.summary.evaluated_cells += 1;
+                    match record.termination {
+                        TerminationReason::Livelock => self.summary.livelock_cells += 1,
+                        TerminationReason::BudgetExceeded => self.summary.budget_cells += 1,
+                        TerminationReason::Completed | TerminationReason::CycleCutoff => {}
+                    }
+                }
+                Err(_) => self.summary.failed_cells += 1,
+            }
+        }
     }
 }
 
 /// What a sweep invocation did with each cell of the grid.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepSummary {
-    /// Cells in the full (configuration × mix × seed) grid.
+    /// Distinct cells in the full (configuration × mix × seed) grid.
     pub total_cells: usize,
     /// Cells already present in the store (resume skipped them).
     pub skipped_cells: usize,
@@ -1187,11 +1231,40 @@ pub fn report_table(records: &[CellRecord]) -> Table {
     table
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The (mix, seed) pairs that one (mechanism, N_RH, ±BreakHammer) group of
+/// [`report_table`] holds under more than one cell id — a store that mixes
+/// sweeps run at different settings (a different scale, a tuned BreakHammer
+/// variant), which the report would otherwise average together. One line
+/// per pair, sorted: the group label, the mix and seed, then the conflicting
+/// cell ids in file order.
+pub fn report_conflicts(records: &[CellRecord]) -> Vec<String> {
+    let mut groups: std::collections::BTreeMap<(String, u64, bool, &str, u64), Vec<&str>> =
+        std::collections::BTreeMap::new();
+    for r in records {
+        let ids = groups
+            .entry((r.mechanism.clone(), r.nrh, r.breakhammer, r.mix.as_str(), r.seed))
+            .or_default();
+        if !ids.contains(&r.cell.as_str()) {
+            ids.push(&r.cell);
+        }
+    }
+    groups
+        .into_iter()
+        .filter(|(_, ids)| ids.len() > 1)
+        .map(|((mechanism, nrh, breakhammer, mix, seed), ids)| {
+            let arm = if breakhammer { "+BH" } else { "" };
+            format!("{mechanism}{arm} {nrh} {mix} seed {seed}: {}", ids.join(", "))
+        })
+        .collect()
+}
 
-    fn sample_record() -> RunRecord {
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::paper_config;
+
+    /// A completed attack-mix record (also the figure-helper tests' fixture).
+    pub(crate) fn sample_record() -> RunRecord {
         RunRecord {
             mechanism: MechanismKind::Graphene,
             nrh: 64,

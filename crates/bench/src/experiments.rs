@@ -1,8 +1,10 @@
-//! Shared experiment machinery used by every figure/table binary.
+//! Shared experiment machinery under the campaign engine and the figures.
 //!
-//! Each binary in `src/bin/` builds a [`Campaign`] (the workload mixes plus a
-//! shared alone-IPC cache), runs the configurations its figure needs, and
-//! prints the resulting series both as an aligned text table and as CSV.
+//! A [`Campaign`] holds one seed's workload mixes plus the shared alone-IPC
+//! cache; [`evaluate_jobs`] evaluates (configuration, mix) cells of it on a
+//! worker pool and flattens each into a [`RunRecord`]. The store-backed
+//! sweeps of [`crate::campaign`] and the figures of [`crate::figures`]
+//! both run on these two.
 //!
 //! The experiment scale (instruction budget, number of mixes per class, the
 //! `N_RH` sweep) defaults to a laptop-friendly "quick" configuration
@@ -13,12 +15,12 @@
 //!
 //! Set-but-unparseable variables (garbage, `0` where a positive count is
 //! required) fall back to their defaults with a one-time warning on stderr
-//! naming the variable and the fallback used.
+//! naming the variable and the fallback used; a bad `BH_NRH_LIST` entry is
+//! dropped with a warning naming the entry.
 
 use bh_dram::{EccMode, FaultConfig, FaultModel};
 use bh_mitigation::MechanismKind;
 use bh_sim::{Evaluator, MixEvaluation, SystemConfig, TerminationReason, WatchdogConfig};
-use bh_stats::Table;
 use bh_workloads::{
     scenario_by_name, scenario_catalog, MixBuilder, MixClass, TraceGenerator, WorkloadMix,
 };
@@ -182,8 +184,20 @@ impl Scale {
             }
         }
         if let Some(list) = lookup("BH_NRH_LIST") {
-            let parsed: Vec<u64> =
-                list.split(',').filter_map(|s| s.trim().parse::<u64>().ok()).collect();
+            // Each entry stands alone: a typo drops that threshold with a
+            // warning instead of silently shrinking the sweep. Every
+            // mechanism needs N_RH > 0.
+            let mut parsed: Vec<u64> = Vec::new();
+            for entry in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+                match entry.parse::<u64>() {
+                    Ok(0) => warnings.push(format!(
+                        "BH_NRH_LIST entry {entry:?} is not a positive threshold; dropped"
+                    )),
+                    Ok(v) => parsed.push(v),
+                    Err(_) => warnings
+                        .push(format!("BH_NRH_LIST entry {entry:?} is not a number; dropped")),
+                }
+            }
             if parsed.is_empty() {
                 warnings.push(format!(
                     "BH_NRH_LIST={list:?} has no parseable thresholds; using {:?}",
@@ -349,15 +363,6 @@ impl RunRecord {
             livelock: eval.result.livelock.as_ref().map(|report| report.to_string()),
         }
     }
-
-    /// Short configuration label used in tables, e.g. `"Graphene+BH"`.
-    pub fn config_label(&self) -> String {
-        if self.breakhammer {
-            format!("{}+BH", self.mechanism)
-        } else {
-            self.mechanism.to_string()
-        }
-    }
 }
 
 /// Builds the paper's Table 1 system configuration at the given experiment
@@ -381,8 +386,30 @@ pub fn paper_config(
     config
 }
 
-/// A campaign holds the generated workload mixes and the shared alone-IPC
-/// cache, and evaluates configurations against them (in parallel).
+/// `mechanisms` × `nrh_values` × `arms` at `scale`, mechanism-major. The
+/// `None` mechanism never gets the BreakHammer arm: BreakHammer needs a
+/// mechanism to observe.
+pub(crate) fn config_grid(
+    scale: &Scale,
+    mechanisms: &[MechanismKind],
+    nrh_values: &[u64],
+    arms: &[bool],
+) -> Vec<SystemConfig> {
+    let mut configs = Vec::new();
+    for &mechanism in mechanisms {
+        for &nrh in nrh_values {
+            for &bh in arms {
+                if mechanism != MechanismKind::None || !bh {
+                    configs.push(paper_config(mechanism, nrh, bh, scale));
+                }
+            }
+        }
+    }
+    configs
+}
+
+/// A campaign holds one seed's workload mixes and the alone-IPC cache
+/// shared by every configuration evaluated against them.
 #[derive(Debug)]
 pub struct Campaign {
     scale: Scale,
@@ -431,30 +458,10 @@ impl Campaign {
         &self.scale
     }
 
-    /// The attack mixes (HHHA … LLLA).
-    pub fn attack_mixes(&self) -> &[WorkloadMix] {
-        &self.attack_mixes
-    }
-
-    /// The benign mixes (HHHH … LLLL).
-    pub fn benign_mixes(&self) -> &[WorkloadMix] {
-        &self.benign_mixes
-    }
-
-    /// The composable-attacker scenario mixes (one suite per entry of
-    /// [`Scale::scenarios`]).
-    pub fn scenario_mixes(&self) -> &[WorkloadMix] {
-        &self.scenario_mixes
-    }
-
     /// The mixes an attack (or benign) sweep evaluates: attack sweeps cover
     /// the classic attack suite plus every requested scenario suite. Cloning
     /// a mix bumps trace reference counts, it does not copy records.
     pub fn sweep_mixes(&self, attack: bool) -> Vec<WorkloadMix> {
-        self.mixes(attack)
-    }
-
-    fn mixes(&self, attack: bool) -> Vec<WorkloadMix> {
         if attack {
             self.attack_mixes.iter().chain(self.scenario_mixes.iter()).cloned().collect()
         } else {
@@ -487,78 +494,6 @@ impl Campaign {
             evaluator.warm_alone_cache(mix);
         }
         self.alone_cache = evaluator.alone_cache().clone();
-    }
-
-    /// Evaluates one configuration against the attack or benign mix suite,
-    /// running mixes in parallel, and returns one record per mix.
-    pub fn run(&mut self, config: &SystemConfig, attack: bool) -> Vec<RunRecord> {
-        self.run_configs(std::slice::from_ref(config), attack)
-    }
-
-    /// Runs a full (mechanism × N_RH × ±BreakHammer) matrix over the chosen
-    /// mix suite, parallelizing over the *flattened* (configuration × mix)
-    /// grid so short sweeps (few mixes per class) still keep every worker
-    /// busy instead of serializing on one configuration at a time.
-    pub fn run_matrix(
-        &mut self,
-        mechanisms: &[MechanismKind],
-        nrh_values: &[u64],
-        breakhammer_options: &[bool],
-        attack: bool,
-    ) -> Vec<RunRecord> {
-        let scale = self.scale.clone();
-        let mut configs = Vec::new();
-        for &mechanism in mechanisms {
-            for &nrh in nrh_values {
-                for &bh in breakhammer_options {
-                    if mechanism == MechanismKind::None && bh {
-                        continue; // BreakHammer needs a mechanism to observe.
-                    }
-                    configs.push(paper_config(mechanism, nrh, bh, &scale));
-                }
-            }
-        }
-        self.run_configs(&configs, attack)
-    }
-
-    /// Evaluates every (configuration, mix) pair of `configs` × the chosen
-    /// suite with a shared worker pool, returning records grouped by
-    /// configuration (in `configs` order) and, within each configuration, in
-    /// mix order — the same order the former config-serial loop produced.
-    fn run_configs(&mut self, configs: &[SystemConfig], attack: bool) -> Vec<RunRecord> {
-        self.warm_alone_cache();
-        let mixes = self.mixes(attack);
-        let jobs: Vec<(usize, usize)> =
-            (0..configs.len()).flat_map(|c| (0..mixes.len()).map(move |m| (c, m))).collect();
-        let results = evaluate_jobs(
-            configs,
-            &mixes,
-            &jobs,
-            &self.alone_cache,
-            self.scale.worker_threads,
-            &EvalHooks::none(),
-        );
-        // Figure binaries want every cell: a panicking cell no longer kills
-        // the other workers mid-sweep, but an incomplete matrix must still
-        // fail loudly once everything else has finished.
-        let mut records = Vec::with_capacity(results.len());
-        let mut failed = Vec::new();
-        for (i, result) in results.into_iter().enumerate() {
-            let (c, m) = jobs[i];
-            match result {
-                Ok(record) => records.push(record),
-                Err(error) => {
-                    failed.push(format!("[{} × {}] {error}", configs[c].summary(), mixes[m].name))
-                }
-            }
-        }
-        assert!(
-            failed.is_empty(),
-            "{} campaign cell(s) panicked:\n{}",
-            failed.len(),
-            failed.join("\n")
-        );
-        records
     }
 }
 
@@ -733,84 +668,6 @@ pub fn evaluate_jobs(
     slots.into_iter().map(|slot| slot.expect("every job was evaluated")).collect()
 }
 
-// --- aggregation helpers ----------------------------------------------------
-
-/// Selects the records matching a configuration.
-pub fn select(
-    records: &[RunRecord],
-    mechanism: MechanismKind,
-    nrh: u64,
-    breakhammer: bool,
-) -> Vec<&RunRecord> {
-    records
-        .iter()
-        .filter(|r| r.mechanism == mechanism && r.nrh == nrh && r.breakhammer == breakhammer)
-        .collect()
-}
-
-/// Restricts a record selection to one mix class; the pseudo-class
-/// `"geomean"` keeps every record (used for the aggregate columns of
-/// Figs. 6, 7, 13 and 14).
-pub fn filter_class<'a>(set: &[&'a RunRecord], class: &str) -> Vec<&'a RunRecord> {
-    if class == "geomean" {
-        set.to_vec()
-    } else {
-        set.iter().copied().filter(|r| r.mix_class == class).collect()
-    }
-}
-
-/// Geometric mean of the weighted speedups of a record selection.
-///
-/// # Panics
-/// Panics if the selection is empty.
-pub fn geomean_speedup(records: &[&RunRecord]) -> f64 {
-    let values: Vec<f64> = records.iter().map(|r| r.weighted_speedup).collect();
-    bh_stats::geometric_mean(&values)
-}
-
-/// Arithmetic mean of a projection over a record selection.
-///
-/// # Panics
-/// Panics if the selection is empty.
-pub fn mean_of(records: &[&RunRecord], f: impl Fn(&RunRecord) -> f64) -> f64 {
-    assert!(!records.is_empty(), "cannot aggregate an empty selection");
-    records.iter().map(|r| f(r)).sum::<f64>() / records.len() as f64
-}
-
-/// Prints a table as text and CSV, under a heading, and returns the CSV (for
-/// tests).
-pub fn print_results(title: &str, table: &Table) -> String {
-    println!("=== {title} ===");
-    println!("{}", table.to_text());
-    println!("--- CSV ---");
-    let csv = table.to_csv();
-    println!("{csv}");
-    csv
-}
-
-/// The RowHammer threshold used by the fixed-threshold figures (6, 7 and 14):
-/// the paper evaluates them at N_RH = 1K; override with `BH_FIG_NRH` when
-/// running at a reduced scale, where the per-row thresholds of N_RH = 1K are
-/// not reachable within the shortened simulations.
-pub fn figure_nrh(default: u64) -> u64 {
-    bh_core::knobs::u64_value("BH_FIG_NRH", "the figure's threshold").unwrap_or(default)
-}
-
-/// Prints the Table 1 / Table 2 configuration summary when `--print-config`
-/// is among the command-line arguments.
-pub fn maybe_print_config(scale: &Scale) {
-    if std::env::args().any(|a| a == "--print-config") {
-        let config = paper_config(MechanismKind::Graphene, 1024, true, scale);
-        println!("System configuration (Table 1): {}", config.summary());
-        println!("{:#?}", config.memctrl);
-        println!("{:#?}", config.cache);
-        println!(
-            "BreakHammer configuration (Table 2): {:#?}",
-            config.effective_breakhammer_config()
-        );
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_types)] // test-only hash collections: assertion sets and reference models, never digest-bearing
 mod tests {
@@ -870,14 +727,21 @@ mod tests {
             "BH_CHANNELS" => Some("0".to_string()),
             "BH_SCENARIOS" => Some(" , ,".to_string()),
             "BH_FAULT_MODEL" => Some("maybe".to_string()),
+            "BH_NRH_LIST" => Some("4096,1O24,0".to_string()),
             _ => None,
         });
-        assert_eq!(scale, Scale::quick(), "every bad value falls back to the default");
-        assert_eq!(warnings.len(), 4, "{warnings:?}");
+        assert_eq!(
+            scale,
+            Scale { nrh_values: vec![4096], ..Scale::quick() },
+            "every bad value falls back to the default; bad N_RH entries are dropped"
+        );
+        assert_eq!(warnings.len(), 6, "{warnings:?}");
         assert!(warnings.iter().any(|w| w.contains("BH_WORKERS") && w.contains("banana")));
         assert!(warnings.iter().any(|w| w.contains("BH_CHANNELS=0")));
         assert!(warnings.iter().any(|w| w.contains("BH_SCENARIOS")));
         assert!(warnings.iter().any(|w| w.contains("BH_FAULT_MODEL")));
+        assert!(warnings.iter().any(|w| w.contains("BH_NRH_LIST") && w.contains("\"1O24\"")));
+        assert!(warnings.iter().any(|w| w.contains("BH_NRH_LIST") && w.contains("\"0\"")));
         let (_, clean) = Scale::from_lookup_with_warnings(|_| None);
         assert!(clean.is_empty(), "unset variables must not warn");
     }
@@ -950,11 +814,11 @@ mod tests {
         scale.benign_entries = 500;
         scale.attacker_entries = 500;
         let campaign = Campaign::new(scale);
-        assert_eq!(campaign.attack_mixes().len(), 12);
-        assert_eq!(campaign.benign_mixes().len(), 12);
-        assert!(campaign.attack_mixes().iter().all(|m| m.attacker_thread.is_some()));
-        assert!(campaign.benign_mixes().iter().all(|m| m.attacker_thread.is_none()));
-        assert!(campaign.scenario_mixes().is_empty(), "no scenarios requested");
+        let (attack, benign) = (campaign.sweep_mixes(true), campaign.sweep_mixes(false));
+        assert_eq!(attack.len(), 12, "no scenarios requested: the classic attack suite only");
+        assert_eq!(benign.len(), 12);
+        assert!(attack.iter().all(|m| m.attacker_thread.is_some() && m.scenario.is_none()));
+        assert!(benign.iter().all(|m| m.attacker_thread.is_none()));
     }
 
     #[test]
@@ -964,16 +828,18 @@ mod tests {
         scale.attacker_entries = 500;
         scale.scenarios = scenario_catalog().iter().map(|s| s.name.to_string()).collect();
         let campaign = Campaign::new(scale);
-        assert_eq!(campaign.scenario_mixes().len(), scenario_catalog().len());
-        for (mix, scenario) in campaign.scenario_mixes().iter().zip(scenario_catalog()) {
+        let sweep = campaign.sweep_mixes(true);
+        // The classic suite first, then one mix per catalog scenario.
+        let (classic, scenarios) = sweep.split_at(sweep.len() - scenario_catalog().len());
+        assert_eq!(classic.len(), 6);
+        assert!(classic.iter().all(|m| m.scenario.is_none()));
+        for (mix, scenario) in scenarios.iter().zip(scenario_catalog()) {
             assert_eq!(mix.scenario.as_deref(), Some(scenario.name));
             assert!(mix.name.contains(scenario.name), "{}", mix.name);
             assert!(mix.attacker_thread.is_some());
             assert!(!mix.victim_rows.is_empty(), "{}", mix.name);
         }
-        let sweep = campaign.mixes(true);
-        assert_eq!(sweep.len(), campaign.attack_mixes().len() + campaign.scenario_mixes().len());
-        assert_eq!(campaign.mixes(false).len(), campaign.benign_mixes().len());
+        assert_eq!(campaign.sweep_mixes(false).len(), 6);
     }
 
     #[test]
@@ -982,75 +848,5 @@ mod tests {
         let mut scale = Scale::quick();
         scale.scenarios = vec!["not-a-scenario".to_string()];
         let _ = Campaign::new(scale);
-    }
-
-    #[test]
-    fn run_matrix_sweeps_scenarios_with_breakhammer_on_and_off() {
-        // Tiny scale: this exercises the full scenario path (composed
-        // attacker → mix → simulator → per-victim stats) end to end.
-        let mut scale = Scale::quick();
-        scale.instructions_per_core = 4_000;
-        scale.benign_entries = 600;
-        scale.attacker_entries = 600;
-        scale.scenarios = scenario_catalog().iter().map(|s| s.name.to_string()).collect();
-        let mut campaign = Campaign::new(scale);
-        let records = campaign.run_matrix(&[MechanismKind::Graphene], &[64], &[false, true], true);
-        for bh in [false, true] {
-            let scenarios: std::collections::HashSet<&str> = records
-                .iter()
-                .filter(|r| r.breakhammer == bh)
-                .filter_map(|r| r.scenario.as_deref())
-                .collect();
-            assert!(
-                scenarios.len() >= 4,
-                "need >= 4 scenarios with breakhammer={bh}, got {scenarios:?}"
-            );
-        }
-        // Scenario records carry per-victim stats; classic records have no
-        // scenario tag but still watch the compat attacker's victims.
-        assert!(records
-            .iter()
-            .filter(|r| r.scenario.is_some())
-            .any(|r| r.max_victim_disturbance > 0));
-    }
-
-    #[test]
-    fn record_selection_and_aggregation() {
-        let make = |mech, nrh, bh, ws| RunRecord {
-            mechanism: mech,
-            nrh,
-            breakhammer: bh,
-            mix_class: "HHHA".to_string(),
-            mix_name: "HHHA-00".to_string(),
-            weighted_speedup: ws,
-            max_slowdown: 2.0,
-            energy_nj: 10.0,
-            preventive_actions: 5,
-            latency_ns: [10.0, 20.0, 30.0],
-            attacker_identified: true,
-            benign_misidentified: false,
-            bitflips: 0,
-            scenario: None,
-            max_victim_disturbance: 0,
-            flips_raw: 0,
-            flips_corrected: 0,
-            flips_detected: 0,
-            flips_silent: 0,
-            attack_success: false,
-            termination: TerminationReason::Completed,
-            livelock: None,
-        };
-        let records = vec![
-            make(MechanismKind::Para, 1024, true, 2.0),
-            make(MechanismKind::Para, 1024, true, 8.0),
-            make(MechanismKind::Para, 1024, false, 1.0),
-            make(MechanismKind::Graphene, 1024, true, 3.0),
-        ];
-        let sel = select(&records, MechanismKind::Para, 1024, true);
-        assert_eq!(sel.len(), 2);
-        assert!((geomean_speedup(&sel) - 4.0).abs() < 1e-12);
-        assert!((mean_of(&sel, |r| r.max_slowdown) - 2.0).abs() < 1e-12);
-        assert_eq!(sel[0].config_label(), "PARA+BH");
-        assert_eq!(select(&records, MechanismKind::Para, 1024, false)[0].config_label(), "PARA");
     }
 }

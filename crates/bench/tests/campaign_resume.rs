@@ -10,7 +10,7 @@
 // Test-only HashSets: completed-cell fixtures and assertion sets.
 #![allow(clippy::disallowed_types)]
 
-use bh_bench::campaign::{report_table, CampaignSpec, ResultStore};
+use bh_bench::campaign::{report_conflicts, report_table, CampaignSpec, ResultStore};
 use bh_bench::Scale;
 use bh_mitigation::MechanismKind;
 use std::collections::HashSet;
@@ -347,5 +347,47 @@ fn mixed_chaos_sweep_records_honest_statuses_and_resumes_idempotently() {
     assert_eq!(noop.skipped_cells, 12);
     assert_eq!(ResultStore::verdict_cells(&path).expect("store parses").len(), 2);
 
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// Two sweeps that differ only in their instruction budget re-key every cell
+/// but keep each cell's (mechanism, N_RH, arm, mix, seed). Sharing one store,
+/// they must not be averaged into one report row: `report` names the
+/// conflicting cell ids and exits nonzero.
+#[test]
+fn report_refuses_a_store_that_mixes_sweeps_at_different_scales() {
+    let mut short = tiny_spec();
+    short.seeds = vec![42];
+    let mut long = short.clone();
+    long.scale.instructions_per_core += 1_000;
+    let path = test_path("mixed-scales");
+    let _ = std::fs::remove_file(&path);
+    {
+        let store = ResultStore::create(&path).expect("fresh store");
+        assert!(short.run(&store, &HashSet::new(), None).complete());
+        assert!(long.run(&store, &HashSet::new(), None).complete());
+    }
+    let records = ResultStore::load(&path).expect("store loads");
+    assert_eq!(records.len(), 12, "6 mixes under two cell ids each");
+    let conflicts = report_conflicts(&records);
+    assert_eq!(conflicts.len(), 6, "{conflicts:?}");
+    for conflict in &conflicts {
+        assert!(conflict.starts_with("Graphene+BH 64 "), "{conflict}");
+        assert_eq!(conflict.matches("/42").count(), 2, "two cell ids per pair: {conflict}");
+    }
+    // One sweep alone is unambiguous.
+    assert!(report_conflicts(&records[..6]).is_empty());
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_bh_campaign"))
+        .args(["report", "--store"])
+        .arg(&path)
+        .output()
+        .expect("bh_campaign runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "report must refuse a mixed store: {stderr}");
+    for record in &records {
+        assert!(stderr.contains(&record.cell), "{} is not named: {stderr}", record.cell);
+    }
+    assert!(output.stdout.is_empty(), "no averaged table is printed");
     std::fs::remove_file(&path).expect("cleanup");
 }

@@ -49,5 +49,5 @@ pub use result::{
     AttackOutcome, ChannelBreakdown, ChannelLaneState, CoreLaneState, CorePerformance,
     LivelockReport, SimulationResult, TerminationReason, VictimReport,
 };
-pub use runner::{evaluate_under_configs, Evaluator, MixEvaluation};
+pub use runner::{Evaluator, MixEvaluation};
 pub use system::System;

@@ -165,21 +165,6 @@ impl Evaluator {
     }
 }
 
-/// Convenience wrapper: evaluates the same mix under a family of
-/// configurations, sharing the alone-IPC cache between them. Returns one
-/// evaluation per configuration, in order.
-pub fn evaluate_under_configs(mix: &WorkloadMix, configs: &[SystemConfig]) -> Vec<MixEvaluation> {
-    let mut shared_cache: BTreeMap<String, f64> = BTreeMap::new();
-    let mut out = Vec::with_capacity(configs.len());
-    for cfg in configs {
-        let mut evaluator = Evaluator::new(cfg.clone()).with_alone_cache(shared_cache.clone());
-        let eval = evaluator.evaluate(mix);
-        shared_cache = evaluator.alone_cache().clone();
-        out.push(eval);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,9 +227,12 @@ mod tests {
         with_cfg.breakhammer = true;
 
         let mix = test_mix(true);
-        let evals = evaluate_under_configs(&mix, &[without_cfg, with_cfg]);
-        let without = &evals[0];
-        let with = &evals[1];
+        // One evaluator for both arms, switched between them as a campaign
+        // worker does: the alone-IPC cache carries over.
+        let mut evaluator = Evaluator::new(without_cfg);
+        let without = &evaluator.evaluate(&mix);
+        evaluator.set_config(with_cfg);
+        let with = &evaluator.evaluate(&mix);
         assert!(
             with.weighted_speedup > without.weighted_speedup,
             "BreakHammer must improve benign weighted speedup ({:.3} vs {:.3})",

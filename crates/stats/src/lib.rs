@@ -7,7 +7,7 @@
 //! * **Percentiles** (memory-latency distributions, Figs. 11 and 17),
 //! * **Geometric means, confidence intervals and box plots** used for the
 //!   aggregate columns, error bands and sensitivity plots,
-//! * plain-text / CSV table rendering for the experiment binaries.
+//! * plain-text / CSV table rendering for the experiment harness.
 //!
 //! ## Example
 //!

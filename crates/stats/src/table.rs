@@ -1,6 +1,6 @@
-//! Plain-text table and CSV rendering for the experiment binaries.
+//! Plain-text table and CSV rendering for the experiment harness.
 //!
-//! Every figure/table binary in `bh-bench` prints its results both as an
+//! Every figure and table `bh-bench` renders prints its results both as an
 //! aligned text table (for reading in a terminal) and as CSV (for plotting),
 //! using the small renderer defined here — no external dependency needed.
 

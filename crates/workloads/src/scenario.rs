@@ -4,8 +4,9 @@
 //! Scenario names follow the `"<pattern>-<placement>"` convention of the
 //! composed attacker's default tag (e.g. `fuzz-nbr` is the Blacksmith-style
 //! fuzzed pattern over the mapping-aware neighbor placement). The catalog is
-//! what `Campaign::run_matrix` enumerates and what the digest-snapshot
-//! harness pins one golden per entry for.
+//! what a campaign's attack sweep appends to the classic attack mixes (the
+//! `scenarios` figure sweeps all of it) and what the digest-snapshot harness
+//! pins one golden per entry for.
 
 use crate::compose::ComposedAttacker;
 use crate::pattern::{ClassicPattern, DecoyPattern, FuzzedPattern, RowPressPattern};

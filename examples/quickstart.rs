@@ -11,7 +11,7 @@ use breakhammer_suite::workloads::{MixBuilder, MixClass, TraceGenerator};
 fn main() {
     // A scaled-down version of the paper's Table 1 system so the example runs
     // in seconds: Graphene protecting a DDR5 channel at N_RH = 128 (a
-    // threshold the short run can exercise; the bench binaries sweep the full
+    // threshold the short run can exercise; the paper figures sweep the full
     // 4K..64 range). The real DDR5 geometry is kept so workloads spread over
     // 64K-row banks; only the timings and budgets are shortened.
     let mut base = SystemConfig::fast_test(MechanismKind::Graphene, 128, false);

@@ -15,8 +15,8 @@
 //! | Metrics | `bh-stats` | [`stats`] |
 //!
 //! The runnable examples under `examples/` show the typical flows; the
-//! experiment binaries that regenerate every figure and table of the paper
-//! live in the `bh-bench` crate.
+//! `bh_campaign` binary of the `bh-bench` crate regenerates every figure
+//! and table of the paper (`bh_campaign figure <id|all>`).
 //!
 //! ## Example
 //!

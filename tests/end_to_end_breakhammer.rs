@@ -5,7 +5,7 @@
 
 use breakhammer_suite::mem::AddressMapping;
 use breakhammer_suite::mitigation::MechanismKind;
-use breakhammer_suite::sim::{evaluate_under_configs, SystemConfig};
+use breakhammer_suite::sim::{Evaluator, MixEvaluation, SystemConfig};
 use breakhammer_suite::workloads::{MixBuilder, MixClass, TraceGenerator, WorkloadMix};
 
 fn build_mix(config: &SystemConfig, attack: bool, seed: u64) -> WorkloadMix {
@@ -31,12 +31,21 @@ fn paired_configs(mechanism: MechanismKind, nrh: u64) -> [SystemConfig; 2] {
     [without, with]
 }
 
+/// Evaluates `mix` without and with BreakHammer on one evaluator, switching
+/// its configuration between the arms as a campaign worker does, so both
+/// arms share the alone-IPC baselines.
+fn evaluate_arms(mix: &WorkloadMix, [without, with]: [SystemConfig; 2]) -> [MixEvaluation; 2] {
+    let mut evaluator = Evaluator::new(without);
+    let without = evaluator.evaluate(mix);
+    evaluator.set_config(with);
+    [without, evaluator.evaluate(mix)]
+}
+
 #[test]
 fn breakhammer_improves_performance_and_energy_under_attack() {
     let configs = paired_configs(MechanismKind::Graphene, 128);
     let mix = build_mix(&configs[0], true, 3);
-    let evals = evaluate_under_configs(&mix, &configs);
-    let (without, with) = (&evals[0], &evals[1]);
+    let [without, with] = evaluate_arms(&mix, configs);
 
     assert!(
         with.weighted_speedup > without.weighted_speedup,
@@ -60,7 +69,7 @@ fn breakhammer_improves_performance_and_energy_under_attack() {
 fn breakhammer_reduces_unfairness_under_attack() {
     let configs = paired_configs(MechanismKind::Rfm, 128);
     let mix = build_mix(&configs[0], true, 5);
-    let evals = evaluate_under_configs(&mix, &configs);
+    let evals = evaluate_arms(&mix, configs);
     assert!(
         evals[1].max_slowdown <= evals[0].max_slowdown * 1.05,
         "unfairness must not get materially worse ({:.3} vs {:.3})",
@@ -73,7 +82,7 @@ fn breakhammer_reduces_unfairness_under_attack() {
 fn breakhammer_is_neutral_when_all_applications_are_benign() {
     let configs = paired_configs(MechanismKind::Graphene, 256);
     let mix = build_mix(&configs[0], false, 9);
-    let evals = evaluate_under_configs(&mix, &configs);
+    let evals = evaluate_arms(&mix, configs);
     let ratio = evals[1].weighted_speedup / evals[0].weighted_speedup;
     assert!(
         ratio > 0.9,
@@ -96,7 +105,7 @@ fn breakhammer_helps_across_multiple_mechanisms() {
             config.instructions_per_core = 40_000;
         }
         let mix = build_mix(&configs[0], true, 21);
-        let evals = evaluate_under_configs(&mix, &configs);
+        let evals = evaluate_arms(&mix, configs);
         assert!(
             evals[1].weighted_speedup >= evals[0].weighted_speedup * 0.95,
             "{mechanism}: BreakHammer must not materially hurt attacked mixes ({:.3} vs {:.3})",
